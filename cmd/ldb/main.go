@@ -12,7 +12,8 @@
 //	ldb -serve :port a.img [b.img ...]
 //	                               run a debug service: each image is a
 //	                               spawnable program, every connection
-//	                               its own session (connect with -attach)
+//	                               its own session; a plain -attach
+//	                               binds the default session of a.img
 //	ldb -attach host:port -session NAME prog.ldb
 //	                               open a fresh session of a registered
 //	                               program on a debug service
@@ -41,7 +42,6 @@ import (
 	_ "ldb/internal/arch/vax"
 	"ldb/internal/core"
 	"ldb/internal/link"
-	"ldb/internal/machine"
 	"ldb/internal/nub"
 	"ldb/internal/ps"
 )
@@ -80,8 +80,8 @@ func main() {
 			fatal(err)
 		}
 		// Against a debug service, -session NAME spawns a fresh target
-		// of a registered program; without it, a connection that landed
-		// in the service lobby (no target bound) cannot proceed.
+		// of a registered program; without it, the connection binds the
+		// service's default session.
 		if *session != "" {
 			if !client.Sessions() {
 				fatal(fmt.Errorf("-session: %s is not a debug service", *attach))
@@ -89,8 +89,10 @@ func main() {
 			if _, err := client.OpenSession(*session); err != nil {
 				fatal(err)
 			}
-		} else if client.Sessions() && client.ArchName == "" {
-			fatal(fmt.Errorf("%s is a debug-service lobby: use -session NAME to open a session", *attach))
+		} else if client.Sessions() {
+			if _, err := client.AttachSession(0); err != nil {
+				fatal(err)
+			}
 		}
 		_, warning, err := d.AttachDegraded(*attach, client, loader)
 		if err != nil {
@@ -114,12 +116,12 @@ func main() {
 // command line is registered as a spawnable program, and each
 // connection gets its own session — §4.2's target-is-not-a-child
 // arrangement, but for many debuggers at once, with decode caches
-// shared between sessions of the same image. The first image also
-// runs as the legacy single-session target, so clients that predate
-// the session protocol attach to it unchanged. Sessions are crash-only:
-// evicted ones passivate into checkpoints (spilled to ckdir if given)
-// and resurrect on re-attach; a negative ckpt interval turns all of
-// that off.
+// shared between sessions of the same image. A plain -attach binds the
+// default session, a session of the first image opened on the first
+// such attach — the paper's single-target arrangement. Sessions are
+// crash-only: evicted ones passivate into checkpoints (spilled to ckdir
+// if given) and resurrect on re-attach; a negative ckpt interval turns
+// all of that off.
 func serveMode(addr string, ckpt int64, ckdir string, args []string) {
 	if len(args) < 1 {
 		fatal(fmt.Errorf("usage: ldb -serve :port prog.img [more.img ...]"))
@@ -128,7 +130,7 @@ func serveMode(addr string, ckpt int64, ckdir string, args []string) {
 	s.CheckpointInterval = ckpt
 	s.PassivateDir = ckdir
 	var names []string
-	for i, path := range args {
+	for _, path := range args {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fatal(err)
@@ -140,12 +142,6 @@ func serveMode(addr string, ckpt int64, ckdir string, args []string) {
 		name := strings.TrimSuffix(filepath.Base(path), ".img")
 		s.Register(name, img.Arch, img.Text, img.Data, img.Entry)
 		names = append(names, fmt.Sprintf("%s (%s)", name, img.Arch.Name()))
-		if i == 0 {
-			p := machine.New(img.Arch, img.Text, img.Data, img.Entry)
-			n := nub.New(p)
-			n.Start()
-			s.SetLegacyTarget(n)
-		}
 	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -153,7 +149,7 @@ func serveMode(addr string, ckpt int64, ckdir string, args []string) {
 	}
 	fmt.Printf("debug service listening on %s\n", l.Addr())
 	fmt.Printf("programs: %s\n", strings.Join(names, ", "))
-	fmt.Printf("first attach gets the paused %s target; -session NAME opens more\n", names[0])
+	fmt.Printf("a plain attach binds the default %s session; -session NAME opens more\n", names[0])
 	s.ServeListener(l)
 }
 
@@ -497,9 +493,9 @@ func command(d *core.Debugger, line string) bool {
 			return false
 		}
 		say("%s", t.Client.Stats())
-		// The simulator line: a legacy nub refuses the request, and
-		// there is simply nothing to report.
-		if st, err := t.Client.SimStats(); err == nil {
+		if st, err := t.Client.SimStats(); err != nil {
+			say("sim: %v", err)
+		} else {
 			say("sim: %d instructions, %d decode-cache hits, %d decodes, %d invalidations, %d fallbacks",
 				st.Steps, st.Hits, st.Decodes, st.Invalidations, st.Fallbacks)
 			if st.Blocks > 0 {
@@ -507,15 +503,18 @@ func command(d *core.Debugger, line string) bool {
 					st.Blocks, st.BlockInsns, float64(st.BlockInsns)/float64(st.Blocks))
 			}
 		}
-		// Likewise the server robustness line.
-		if st, err := t.Client.ServerStats(); err == nil {
+		if st, err := t.Client.ServerStats(); err != nil {
+			say("server: %v", err)
+		} else {
 			say("server: %d recovered panics, %d malformed frames, %d oversize rejects, %d slow reads, %d ctx faults",
 				st.RecoveredPanics, st.MalformedFrames, st.OversizeRejects, st.SlowReads, st.CtxFaults)
 		}
 		// And the service health line, when the endpoint is a
 		// session-multiplexed debug service rather than a plain nub.
 		if t.Client.Sessions() {
-			if st, err := t.Client.ServiceStats(); err == nil {
+			if st, err := t.Client.ServiceStats(); err != nil {
+				say("service: %v", err)
+			} else {
 				say("service: %d/%d sessions live/peak, %d opened, %d evicted, shared decode cache %d hits / %d misses, %d session / %d total requests",
 					st.Live, st.Peak, st.Opened, st.Evicted, st.SharedHits, st.SharedMisses, st.SessionRequests, st.TotalRequests)
 				say("crash-only: %d passivated, %d resurrected, %d rollbacks",
@@ -565,10 +564,6 @@ func command(d *core.Debugger, line string) bool {
 		}
 		if cmd == "batch" {
 			t.Client.SetBatching(on)
-			if on && !t.Client.Batching() {
-				say("batching requested, but the nub does not support it")
-				return false
-			}
 		} else {
 			t.Client.SetCaching(on)
 		}

@@ -16,7 +16,7 @@ import (
 //
 //	//ldb:lock <name> <rank>          on a mutex field or package var
 //	//ldb:deterministic               on a function declaration
-//	//ldb:wire-body <name> size=N [legacy=M]   on a struct type
+//	//ldb:wire-body <name> size=N     on a struct type
 //	//ldb:off N                       trailing, on a wire-body field
 //
 // The call graph is direct-call only: a callee is recorded when the

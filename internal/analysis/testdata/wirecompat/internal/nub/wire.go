@@ -1,7 +1,7 @@
 // Package nub is the wirecompat fixture: one append-only reply body
 // done right, one with a field inserted mid-struct (the violation the
-// analyzer exists for), and one whose legacy prefix misses every field
-// boundary and whose codecs are missing.
+// analyzer exists for), and one with a stale legacy= argument, a
+// missing offset, and no codecs.
 package nub
 
 import (
@@ -39,10 +39,9 @@ func validate(k MsgKind) error {
 	return nil
 }
 
-// StatsReply grew from 16 to 24 bytes by appending C; old readers
-// parse the 16-byte prefix.
+// StatsReply grew from 16 to 24 bytes by appending C.
 //
-//ldb:wire-body statsreply size=24 legacy=16
+//ldb:wire-body statsreply size=24
 type StatsReply struct {
 	A int64 //ldb:off 0
 	B int64 //ldb:off 8
@@ -59,11 +58,7 @@ func encodeStats(r StatsReply) []byte {
 
 func decodeStats(b []byte) StatsReply {
 	v := func(i int) int64 { return int64(binary.LittleEndian.Uint64(b[i*8:])) }
-	r := StatsReply{A: v(0), B: v(1)}
-	if len(b) == 24 {
-		r.C = v(2)
-	}
-	return r
+	return StatsReply{A: v(0), B: v(1), C: v(2)}
 }
 
 // BrokenReply had N inserted between A and B: B still declares the
@@ -90,8 +85,8 @@ func decodeBroken(b []byte) BrokenReply {
 	return BrokenReply{A: v(0), N: v(1), B: v(2)}
 }
 
-// OrphanReply names no kind, declares a legacy prefix off any field
-// boundary, misses an //ldb:off, and has no codec at all.
+// OrphanReply names no kind, carries a legacy= argument the directive
+// no longer has, misses an //ldb:off, and has no codec at all.
 //
 //ldb:wire-body orphanreply size=16 legacy=12
 type OrphanReply struct {

@@ -8,15 +8,12 @@ import (
 	"strings"
 )
 
-// The wirecompat analyzer keeps versioned reply bodies append-only. The
-// protocol's compatibility story (the 64-byte MServiceStats body that
-// grew to 88, the 40-byte simstats body that grew to 56) depends on old
-// readers parsing a prefix of new replies: a field may only ever be
-// appended, never reordered or inserted mid-struct, because every
-// offset before the append point is frozen the day a reader ships. A
-// struct opts in with:
+// The wirecompat analyzer keeps reply bodies append-only: a field may
+// only ever be appended, never reordered or inserted mid-struct,
+// because every offset before the append point is frozen the day a
+// reader ships. A struct opts in with:
 //
-//	//ldb:wire-body <wirename> size=<total> [legacy=<prefix>]
+//	//ldb:wire-body <wirename> size=<total>
 //
 // on its declaration, and every field carries its frozen byte offset as
 // a trailing comment:
@@ -27,11 +24,9 @@ import (
 // the fixed wire widths (int64/uint64/float64 = 8, int32/uint32/
 // float32 = 4, int16/uint16 = 2, int8/uint8/byte/bool = 1): a mismatch
 // is precisely a reorder or a mid-struct insertion, reported against
-// the field that moved. `size` must equal the computed total; `legacy`
-// must land on a field boundary strictly inside the body (the prefix an
-// old reader accepts). The wirename must exist in the package's
-// //ldb:kind-table when one is declared, pinning each body to its
-// message kind.
+// the field that moved. `size` must equal the computed total. The
+// wirename must exist in the package's //ldb:kind-table when one is
+// declared, pinning each body to its message kind.
 //
 // Encoder/decoder symmetry: within the declaring package, a function
 // that references the struct's fields and calls binary.LittleEndian's
@@ -46,7 +41,6 @@ type wireBody struct {
 	file   *File
 	name   string // wire name from the directive
 	size   int    // declared total size
-	legacy int    // declared legacy prefix (0 when absent)
 	spec   *ast.TypeSpec
 	obj    types.Object // the struct type object
 	fields []wireField
@@ -125,8 +119,6 @@ func (r *Repo) parseWireBody(p *Pkg, f *File, gd *ast.GenDecl, args []string) (*
 		switch k {
 		case "size":
 			wb.size = n
-		case "legacy":
-			wb.legacy = n
 		default:
 			errs = append(errs, fmt.Sprintf("//ldb:wire-body: unknown argument %q", a))
 		}
@@ -212,7 +204,6 @@ func (r *Repo) checkWireBody(wb *wireBody, kt *kindTable) []Diagnostic {
 		}
 	}
 	off := 0
-	legacyOK := wb.legacy == 0
 	for _, wf := range wb.fields {
 		if wf.width < 0 {
 			add(wf.field, "wire body %q field %s has no fixed wire width", wb.name, wf.name)
@@ -227,20 +218,10 @@ func (r *Repo) checkWireBody(wb *wireBody, kt *kindTable) []Diagnostic {
 			add(wf.field, "wire body %q field %s declares offset %d but sits at %d: bodies are append-only (reordering or mid-struct insertion breaks shipped readers)",
 				wb.name, wf.name, wf.off, off)
 		}
-		if off == wb.legacy {
-			legacyOK = true
-		}
 		off += wf.width
 	}
 	if wb.size >= 0 && off != wb.size {
 		add(wb.node, "wire body %q computes to %d bytes, directive says size=%d", wb.name, off, wb.size)
-	}
-	if wb.legacy != 0 {
-		if wb.legacy >= off {
-			add(wb.node, "wire body %q legacy=%d is not a strict prefix of its %d bytes", wb.name, wb.legacy, off)
-		} else if !legacyOK {
-			add(wb.node, "wire body %q legacy=%d does not land on a field boundary", wb.name, wb.legacy)
-		}
 	}
 	return diags
 }

@@ -9,9 +9,8 @@ import (
 
 // Batch queues fetch and store requests and flushes them to the nub in
 // as few round trips as possible: one MBatch envelope per MaxBatch
-// requests when the nub advertised batch support, or the plain
-// one-message-at-a-time protocol when it did not (old nubs keep
-// working; only the round-trip count differs). Results land in the
+// requests, or the plain one-message-at-a-time protocol when batching
+// is off (only the round-trip count differs). Results land in the
 // *IntRes / *BytesRes / *OKRes handles returned when an operation was
 // queued, after Run returns.
 //
@@ -204,8 +203,8 @@ func (b *Batch) Run() error {
 }
 
 // flushChunk sends up to MaxBatch operations: one envelope when
-// batching is negotiated and there is more than one operation,
-// otherwise individual round trips.
+// batching is on and there is more than one operation, otherwise
+// individual round trips.
 func (c *Client) flushChunk(ops []batchOp) error {
 	if !c.Batching() || len(ops) < 2 {
 		for _, op := range ops {

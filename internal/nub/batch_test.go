@@ -67,26 +67,18 @@ func TestBatchedSessionAllTargets(t *testing.T) {
 	}
 }
 
-// TestBatchFallsBackOnLegacyNub pairs the client with a nub built
-// before MBatch existed: everything must still work, one message at a
-// time.
-func TestBatchFallsBackOnLegacyNub(t *testing.T) {
+// TestBatchFallsBackWhenBatchingOff: with batching off — the paper's
+// plain transport — a Batch still works, one message per operation.
+func TestBatchFallsBackWhenBatchingOff(t *testing.T) {
 	a := mips.Little
 	code := testProgram(t, a)
-	p := machine.New(a, code, make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.LegacyProtocol = true
-	n.Start()
-	c, err := Pair(n)
+	c, _, _, err := Launch(a, code, make([]byte, 64), machine.TextBase)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetBatching(false)
 	if c.Batching() {
-		t.Fatal("client claims batching against a legacy nub")
-	}
-	c.SetBatching(true) // asking again must not help
-	if c.Batching() {
-		t.Fatal("SetBatching overrode the nub's welcome")
+		t.Fatal("client claims batching after SetBatching(false)")
 	}
 	b := c.NewBatch()
 	s := b.StoreInt(amem.Data, machine.DataBase+8, 4, 7)
@@ -99,7 +91,7 @@ func TestBatchFallsBackOnLegacyNub(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Batches != 0 {
-		t.Errorf("legacy session used %d envelopes", st.Batches)
+		t.Errorf("unbatched session used %d envelopes", st.Batches)
 	}
 	if st.RoundTrips < 2 {
 		t.Errorf("round trips = %d, want one per operation", st.RoundTrips)
@@ -119,9 +111,6 @@ func rawSession(t *testing.T, n *Nub) (net.Conn, func()) {
 	w, err := ReadMsg(b)
 	if err != nil || w.Kind != MWelcome {
 		t.Fatalf("welcome: %v %v", w, err)
-	}
-	if w.Val&WelcomeBatch == 0 {
-		t.Fatal("welcome does not advertise batching")
 	}
 	if _, err := ReadMsg(b); err != nil {
 		t.Fatalf("pending event: %v", err)
@@ -199,43 +188,6 @@ func TestBatchRejectsControlMembers(t *testing.T) {
 	// envelope, not a member-level one.
 	if rep.Kind != MError {
 		t.Fatalf("nested envelope answered with %v, want MError", rep.Kind)
-	}
-}
-
-// TestLegacyNubRejectsEnvelopes: a pre-batch nub answers an MBatch with
-// a plain MError, which is what tells the (misbehaving) client it never
-// negotiated.
-func TestLegacyNubRejectsEnvelopes(t *testing.T) {
-	a := mips.Little
-	code := testProgram(t, a)
-	p := machine.New(a, code, make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.LegacyProtocol = true
-	n.Start()
-	conn, shutdown := func() (net.Conn, func()) {
-		x, y := net.Pipe()
-		done := make(chan struct{})
-		go func() { defer close(done); _ = n.Serve(x) }()
-		w, err := ReadMsg(y)
-		if err != nil || w.Kind != MWelcome || w.Val&WelcomeBatch != 0 {
-			t.Fatalf("legacy welcome: %v %v", w, err)
-		}
-		if _, err := ReadMsg(y); err != nil {
-			t.Fatal(err)
-		}
-		return y, func() { y.Close(); <-done }
-	}()
-	defer shutdown()
-	env, err := EncodeBatch(MBatch, []*Msg{{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase, Size: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMsg(conn, env); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadMsg(conn)
-	if err != nil || rep.Kind != MError {
-		t.Fatalf("legacy nub answered %v, %v; want MError", rep, err)
 	}
 }
 
@@ -551,66 +503,6 @@ func TestFetchLineTruncatesAtSegmentEnd(t *testing.T) {
 	}
 	if subs[1].Kind != MValue {
 		t.Fatalf("batched fetch beside line: %v", subs[1].Kind)
-	}
-}
-
-// TestLegacyNubRejectsFetchLine: a pre-batch nub does not know the
-// readahead request — and a client that honors the welcome never sends
-// one, so its cached fetches still work against such a nub.
-func TestLegacyNubRejectsFetchLine(t *testing.T) {
-	a := mips.Little
-	code := testProgram(t, a)
-	p := machine.New(a, code, make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.LegacyProtocol = true
-	n.Start()
-	x, y := net.Pipe()
-	done := make(chan struct{})
-	go func() { defer close(done); _ = n.Serve(x) }()
-	defer func() { y.Close(); <-done }()
-	if w, err := ReadMsg(y); err != nil || w.Kind != MWelcome || w.Val&WelcomeBatch != 0 {
-		t.Fatalf("legacy welcome: %v %v", w, err)
-	}
-	if _, err := ReadMsg(y); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMsg(y, &Msg{Kind: MFetchLine, Space: byte(amem.Data), Addr: machine.DataBase, Size: 64}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadMsg(y)
-	if err != nil || rep.Kind != MError {
-		t.Fatalf("legacy nub answered %v, %v; want MError", rep, err)
-	}
-}
-
-// TestCachedFetchAgainstLegacyNub: with caching on but no negotiated
-// capability, the client skips readahead entirely and still serves
-// correct values (one exact fetch per cold word).
-func TestCachedFetchAgainstLegacyNub(t *testing.T) {
-	a := mips.Little
-	code := testProgram(t, a)
-	p := machine.New(a, code, make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.LegacyProtocol = true
-	n.Start()
-	c, err := Pair(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetCaching(true)
-	if err := c.StoreInt(amem.Data, machine.DataBase+4, 4, 99); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.FetchInt(amem.Data, machine.DataBase+4, 4)
-	if err != nil || v != 99 {
-		t.Fatalf("cached fetch via legacy nub: %d, %v", v, err)
-	}
-	before := c.Stats().RoundTrips
-	if v, err := c.FetchInt(amem.Data, machine.DataBase+4, 4); err != nil || v != 99 {
-		t.Fatalf("re-fetch: %d, %v", v, err)
-	}
-	if rt := c.Stats().RoundTrips; rt != before {
-		t.Errorf("cache hit cost %d round trips", rt-before)
 	}
 }
 

@@ -71,7 +71,7 @@ const (
 
 // Client is the debugger end of the nub protocol. On top of the plain
 // request/reply protocol it batches messages into MBatch envelopes
-// (when the nub's welcome advertises support), keeps a read-through
+// (unless SetBatching turns them off), keeps a read-through
 // cache of target memory that a continue fully invalidates, counts
 // wire traffic in a Stats, and survives a flaky wire: every request
 // runs under a deadline, and on connection loss the client redials,
@@ -88,7 +88,6 @@ type Client struct {
 	Last *Event
 
 	stats   Stats
-	batchOK bool // the nub's welcome advertised MBatch
 	batchOn bool // client-side switch (default on)
 	cache   *memCache
 	order   binary.ByteOrder // target byte order, for serving cached ints
@@ -104,7 +103,7 @@ type Client struct {
 	// reconnect resync.
 	planted []PlantedRecord
 
-	sessionsOK bool // the welcome advertised sessions (a debug service)
+	sessionsOK bool // the first welcome was a lobby (a debug service)
 	// sessionID is the service session this connection is bound to, 0
 	// when none. A reconnect re-attaches to it instead of trusting the
 	// front-door welcome.
@@ -113,10 +112,10 @@ type Client struct {
 }
 
 // Connect performs the protocol handshake: it reads the nub's welcome
-// and the pending event. Batching is negotiated from the welcome's
-// capability bits; caching is on by default (Continue invalidates it).
-// The welcome must name a registered architecture — the integer cache
-// and context layout depend on it.
+// and the pending event. Batching and caching are on by default
+// (Continue invalidates the cache). The welcome must name a registered
+// architecture — the integer cache and context layout depend on it —
+// or be a debug service's lobby, which names none.
 func Connect(conn io.ReadWriter) (*Client, error) {
 	c := &Client{batchOn: true, cache: newMemCache(), timeout: DefaultTimeout, retries: DefaultRetries}
 	c.replayable.Store(true)
@@ -132,12 +131,9 @@ func Connect(conn io.ReadWriter) (*Client, error) {
 // the nub's planted-breakpoint list is resynced; without it (first
 // connect) the welcome establishes the session's identity.
 //
-// Against a debug service the welcome describes the front door, not
-// necessarily this client's target: a pool-only service greets with a
-// capabilities-only lobby welcome (empty architecture name, no event),
-// and a reconnecting client that had opened a session must re-attach to
-// it rather than compare its identity against whatever the front door
-// announces.
+// A debug service greets every connection with a lobby welcome (empty
+// architecture name, no event), and a reconnecting client that was
+// bound to a session re-attaches to it by id.
 func (c *Client) adopt(rw io.ReadWriter, verify bool) error {
 	c.raw = rw
 	c.conn = &countRW{rw: rw, s: &c.stats}
@@ -149,20 +145,15 @@ func (c *Client) adopt(rw io.ReadWriter, verify bool) error {
 		return fmt.Errorf("nub: expected welcome, got %v", w.Kind)
 	}
 	archName, ctxAddr, ctxSize := string(w.Data), w.Addr, w.Size
-	c.batchOK = w.Val&WelcomeBatch != 0
-	c.sessionsOK = w.Val&WelcomeSessions != 0
-	lobby := archName == "" && c.sessionsOK
+	lobby := archName == ""
+	if !verify {
+		c.sessionsOK = lobby
+	}
 	if verify && c.sessionID != 0 {
-		// Re-binding to a session. Drain the front door's handshake
-		// event if it carries a target, then re-attach; attachWire
-		// verifies the session's identity and replays its event.
-		if !c.sessionsOK {
-			return fmt.Errorf("%w: reconnected endpoint does not speak sessions", ErrWelcomeMismatch)
-		}
+		// Re-binding to a session; attachWire verifies the session's
+		// identity and replays its event.
 		if !lobby {
-			if _, err := c.readEvent(); err != nil {
-				return err
-			}
+			return fmt.Errorf("%w: reconnected endpoint is not a debug service", ErrWelcomeMismatch)
 		}
 		if err := c.attachWire(c.sessionID, true); err != nil {
 			return err
@@ -174,7 +165,8 @@ func (c *Client) adopt(rw io.ReadWriter, verify bool) error {
 		return nil
 	}
 	if lobby {
-		// No target yet: identity arrives with OpenSession.
+		// No target yet: identity arrives with OpenSession or
+		// AttachSession.
 		c.ArchName, c.CtxAddr, c.CtxSize = "", 0, 0
 		c.order = nil
 		if verify {
@@ -311,9 +303,8 @@ func (c *Client) SetRedial(f func() (io.ReadWriter, error)) { c.redial = f }
 // clean one.
 func (c *Client) Replayable() bool { return c.replayable.Load() }
 
-// SetBatching enables or disables MBatch envelopes. Batching is used
-// only when the nub also advertised support; turning it off here forces
-// the one-message-at-a-time protocol.
+// SetBatching enables or disables MBatch envelopes. Turning it off
+// gives the paper's plain transport, one request per round trip.
 func (c *Client) SetBatching(on bool) { c.batchOn = on }
 
 // SetCaching enables or disables the client-side memory cache. Turning
@@ -329,7 +320,7 @@ func (c *Client) SetCaching(on bool) {
 }
 
 // Batching reports whether envelopes are in use on this connection.
-func (c *Client) Batching() bool { return c.batchOn && c.batchOK }
+func (c *Client) Batching() bool { return c.batchOn }
 
 // Caching reports whether the client-side memory cache is in use.
 func (c *Client) Caching() bool { return c.cache != nil }
@@ -448,11 +439,11 @@ func (c *Client) readEvent() (*Event, error) {
 	case MExited:
 		return &Event{Exited: true, Status: int(m.Code)}, nil
 	case MError:
-		// The nub refused or could not complete the resume (a legacy nub
-		// seeing MStepInst, a recovered server panic): a clean protocol
-		// error on a healthy wire, not a connection loss. A rolled-back
-		// resume is marked retryable — the session is back at the state
-		// the resume saw.
+		// The nub refused or could not complete the resume (a recovered
+		// server panic, a service connection bound to no session): a
+		// clean protocol error on a healthy wire, not a connection loss.
+		// A rolled-back resume is marked retryable — the session is back
+		// at the state the resume saw.
 		if m.Code == CodeRolledBack {
 			return nil, fmt.Errorf("%w: %s", ErrRolledBack, m.Data)
 		}
@@ -596,9 +587,7 @@ func cacheable(space amem.Space) bool {
 const readahead = 256
 
 // fetchLine pulls a readahead line via MFetchLine; the reply may be
-// shorter than asked when the containing segment ends early. Only sent
-// to nubs that negotiated the batch capability — a legacy nub never
-// sees the request kind.
+// shorter than asked when the containing segment ends early.
 func (c *Client) fetchLine(space amem.Space, addr uint32, n int) ([]byte, error) {
 	rep, err := c.roundTrip(&Msg{Kind: MFetchLine, Space: byte(space), Addr: addr, Size: uint32(n)}, MBytes)
 	if err != nil {
@@ -617,7 +606,7 @@ func (c *Client) FetchInt(space amem.Space, addr uint32, size int) (uint64, erro
 			return v, nil
 		}
 		c.stats.CacheMisses.Add(1)
-		if c.batchOK && c.order != nil && size > 0 && size <= 4 {
+		if c.order != nil && size > 0 && size <= 4 {
 			// Pull a line; if it comes up short (or the line base sits
 			// in an unmapped hole) fall through to the exact fetch,
 			// which preserves the uncached error behavior bit for bit.
@@ -776,8 +765,7 @@ func (c *Client) ListPlanted() ([]PlantedRecord, error) {
 	return parsePlanted(rep.Data)
 }
 
-// SimStats asks the nub for its simulator counters. A legacy nub
-// refuses the request; callers treat the error as "nothing to report".
+// SimStats asks the nub for its simulator counters.
 func (c *Client) SimStats() (SimStatsReport, error) {
 	rep, err := c.roundTrip(&Msg{Kind: MSimStats}, MSimStatsReply)
 	if err != nil {
@@ -786,8 +774,7 @@ func (c *Client) SimStats() (SimStatsReport, error) {
 	return decodeSimStats(rep.Data)
 }
 
-// ServerStats asks the nub for its robustness counters. A legacy nub
-// refuses the request; callers treat the error as "nothing to report".
+// ServerStats asks the nub for its robustness counters.
 func (c *Client) ServerStats() (ServerStatsReport, error) {
 	rep, err := c.roundTrip(&Msg{Kind: MServerStats}, MServerStatsReply)
 	if err != nil {
@@ -796,8 +783,8 @@ func (c *Client) ServerStats() (ServerStatsReport, error) {
 	return decodeServerStats(rep.Data)
 }
 
-// Sessions reports whether the connected endpoint is a debug service
-// (its welcome advertised the sessions capability).
+// Sessions reports whether the connected endpoint is a debug service:
+// its first welcome was a lobby.
 func (c *Client) Sessions() bool { return c.sessionsOK }
 
 // SessionID returns the service session this client is bound to, 0 when
@@ -836,9 +823,10 @@ func (c *Client) OpenSession(program string) (*Event, error) {
 }
 
 // AttachSession binds this connection to an existing service session by
-// id, establishing the session's identity from the reply. Idempotent:
-// connection loss mid-attach is ridden out by the normal reconnect
-// path, which re-attaches by itself.
+// id, establishing the session's identity from the reply; id 0 binds
+// the service's default session, whose real id SessionID then reports.
+// Idempotent: connection loss mid-attach is ridden out by the normal
+// reconnect path, which re-attaches by itself.
 func (c *Client) AttachSession(id uint64) (*Event, error) {
 	if !c.sessionsOK {
 		return nil, errors.New("nub: endpoint does not speak sessions")
@@ -910,8 +898,8 @@ func (c *Client) Continue() (*Event, error) {
 // StepInst resumes the target for exactly one instruction and blocks
 // until its event: SIGTRAP with code arch.TrapStep when the instruction
 // retired cleanly, or whatever fault it raised. This is the machine-
-// level step that needs no symbol table; a legacy nub refuses the
-// request with a clean error. Connection-loss handling is Continue's.
+// level step that needs no symbol table. Connection-loss handling is
+// Continue's.
 func (c *Client) StepInst() (*Event, error) {
 	return c.resume(MStepInst)
 }
@@ -1054,16 +1042,9 @@ func (w *Wire) StoreFloat(loc amem.Location, size int, val float64) error {
 // target if it has not produced an event yet.
 func Pair(n *Nub) (*Client, error) {
 	a, b := net.Pipe()
-	go func() {
-		for {
-			if err := n.Serve(b); err == nil {
-				return
-			}
-			// Connection broken; in the paired arrangement there is no
-			// one to reconnect, so stop.
-			return
-		}
-	}()
+	// Serve returns when the connection ends; in the paired arrangement
+	// there is no one to reconnect.
+	go func() { _ = n.Serve(b) }()
 	return Connect(a)
 }
 

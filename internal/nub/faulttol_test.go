@@ -437,6 +437,23 @@ func TestWelcomeMismatchRejected(t *testing.T) {
 	if err == nil || !errors.Is(err, ErrWelcomeMismatch) {
 		t.Fatalf("fetch = %v, want welcome-mismatch error", err)
 	}
+
+	// A client bound to a service session whose redial lands on a
+	// single-target nub meets a welcome that is not a lobby.
+	_, addrS := startService(t, nil)
+	c, conn, err = Dial(addrS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.OpenSession("mips"); err != nil {
+		t.Fatal(err)
+	}
+	c.SetRedial(func() (io.ReadWriter, error) { return net.Dial("tcp", lB.Addr().String()) })
+	conn.Close()
+	_, err = c.FetchInt(amem.Data, machine.DataBase, 4)
+	if err == nil || !errors.Is(err, ErrWelcomeMismatch) {
+		t.Fatalf("session fetch = %v, want welcome-mismatch error", err)
+	}
 }
 
 // storeDropRW delivers messages until it sees an MStoreInt header go

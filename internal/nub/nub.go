@@ -34,12 +34,6 @@ type Nub struct {
 	P       *machine.Process
 	ctxAddr uint32
 
-	// LegacyProtocol, when set before serving, makes the nub behave
-	// like one built before MBatch existed: the welcome does not
-	// advertise batch support and envelopes are rejected. Clients fall
-	// back to one message at a time.
-	LegacyProtocol bool
-
 	// Stats counts messages served; atomic because the nub runs in its
 	// own goroutine while tests and debuggers read the counters.
 	Stats Stats
@@ -505,13 +499,9 @@ func (n *Nub) handleFetchBytes(m *Msg) *Msg {
 
 // handleFetchLine services a readahead fetch: return however many of
 // the requested bytes exist in the containing segment rather than
-// failing at the segment's edge. Rides the batch capability bit, so a
-// legacy nub refuses it like any unknown request.
+// failing at the segment's edge.
 func (n *Nub) handleFetchLine(m *Msg) *Msg {
 	p := n.P
-	if n.LegacyProtocol {
-		return errMsg("unknown request %v", m.Kind)
-	}
 	if m.Size > maxDataLen {
 		return errMsg("fetch too large")
 	}
@@ -536,12 +526,8 @@ func (n *Nub) handleStoreBytes(m *Msg) *Msg {
 	return &Msg{Kind: MOK}
 }
 
-// handleSimStats serves the simulator counters. Rides the batch
-// capability bit, so a legacy nub refuses it like any unknown request.
+// handleSimStats serves the simulator counters.
 func (n *Nub) handleSimStats(m *Msg) *Msg {
-	if n.LegacyProtocol {
-		return errMsg("unknown request %v", m.Kind)
-	}
 	st := n.P.SimStats()
 	return &Msg{Kind: MSimStatsReply, Data: encodeSimStats(SimStatsReport{
 		Steps: n.P.Steps, Hits: st.Hits, Decodes: st.Decodes,
@@ -550,12 +536,8 @@ func (n *Nub) handleSimStats(m *Msg) *Msg {
 	})}
 }
 
-// handleServerStats serves the robustness counters. Rides the batch
-// capability bit, so a legacy nub refuses it like any unknown request.
+// handleServerStats serves the robustness counters.
 func (n *Nub) handleServerStats(m *Msg) *Msg {
-	if n.LegacyProtocol {
-		return errMsg("unknown request %v", m.Kind)
-	}
 	st := n.Stats.Snapshot()
 	return &Msg{Kind: MServerStatsReply, Data: encodeServerStats(ServerStatsReport{
 		RecoveredPanics: st.RecoveredPanics, MalformedFrames: st.MalformedFrames,
@@ -570,9 +552,6 @@ func (n *Nub) handleServerStats(m *Msg) *Msg {
 // an envelope; such members get individual error replies so the other
 // members still complete.
 func (n *Nub) handleBatch(m *Msg) *Msg {
-	if n.LegacyProtocol {
-		return errMsg("nub does not understand batches")
-	}
 	subs, err := DecodeBatch(m)
 	if err != nil {
 		return errMsg("%v", err)
@@ -608,11 +587,17 @@ func (n *Nub) handleBatch(m *Msg) *Msg {
 func (n *Nub) Serve(conn io.ReadWriter) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if err := n.welcomeLocked(conn, 0); err != nil {
+	if n.dead {
+		return fmt.Errorf("nub: target terminated")
+	}
+	if err := n.greetLocked(conn, MWelcome, 0); err != nil {
 		return err
 	}
 	for {
-		req, err := n.readRequest(conn)
+		req, slow, err := readRequest(conn, n.ReadTimeout)
+		if slow {
+			n.Stats.SlowReads.Add(1)
+		}
 		if err != nil {
 			if errors.Is(err, errOversize) {
 				// An attacker-chosen payload length. Reply, then close:
@@ -632,42 +617,25 @@ func (n *Nub) Serve(conn io.ReadWriter) error {
 	}
 }
 
-// serveWelcome runs the handshake only — Serve's prologue, factored out
-// so the debug service can bind a connection to a session (welcome with
-// extra capability bits, then request-by-request dispatch through
-// serveOneLocked) without holding the nub for the connection's
-// lifetime.
-func (n *Nub) serveWelcome(conn io.ReadWriter, extra uint64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.welcomeLocked(conn, extra)
-}
-
-// welcomeLocked announces the target and replays the pending stop
-// event, running the target to its first stop if nothing is latched
-// yet. extra ORs additional capability bits into the welcome's Val (the
-// debug service advertises WelcomeSessions). Callers hold n.mu.
-func (n *Nub) welcomeLocked(conn io.ReadWriter, extra uint64) error {
-	if n.dead {
-		return fmt.Errorf("nub: target terminated")
-	}
-	welcome := &Msg{
-		Kind: MWelcome,
+// greetLocked announces the target — an MWelcome from a single-target
+// nub, an MSession carrying the session id from the debug service —
+// then replays the pending stop event, running the target to its first
+// stop if nothing is latched yet. Callers hold n.mu.
+func (n *Nub) greetLocked(w io.Writer, kind MsgKind, id uint64) error {
+	if err := WriteMsg(w, &Msg{
+		Kind: kind,
+		Val:  id,
 		Addr: n.ctxAddr,
 		Size: uint32(n.P.A.Context().Size),
 		Data: []byte(n.P.A.Name()),
-	}
-	if !n.LegacyProtocol {
-		welcome.Val |= WelcomeBatch | extra
-	}
-	if err := WriteMsg(conn, welcome); err != nil {
+	}); err != nil {
 		return err
 	}
 	n.Stats.MsgsSent.Add(1)
 	if n.pending == nil {
 		n.resumeAndLatch(n.runAndLatch)
 	}
-	if err := WriteMsg(conn, n.pending); err != nil {
+	if err := WriteMsg(w, n.pending); err != nil {
 		return err
 	}
 	n.Stats.MsgsSent.Add(1)
@@ -684,15 +652,6 @@ func (n *Nub) serveOneLocked(conn io.ReadWriter, req *Msg) (done bool, err error
 	n.Stats.RoundTrips.Add(1)
 	switch req.Kind {
 	case MContinue, MStepInst:
-		if req.Kind == MStepInst && n.LegacyProtocol {
-			// Rides the batch capability bit, like any post-legacy
-			// request.
-			if err := WriteMsg(conn, &Msg{Kind: MError, Data: []byte(fmt.Sprintf("unknown request %v", req.Kind))}); err != nil {
-				return false, err
-			}
-			n.Stats.MsgsSent.Add(1)
-			return false, nil
-		}
 		if n.P.State == machine.StateExited {
 			if err := WriteMsg(conn, &Msg{Kind: MExited, Code: int32(n.P.ExitCode)}); err != nil {
 				return false, err
@@ -738,34 +697,33 @@ func (n *Nub) serveOneLocked(conn io.ReadWriter, req *Msg) (done bool, err error
 }
 
 // readRequest reads one request from conn under the two-phase server
-// read deadline: the idle wait for a frame's first byte is unbounded —
-// a debugger may sit at its prompt for hours — but once a frame has
-// started, the rest must arrive within ReadTimeout, so a peer that
-// opens a frame and trickles bytes (slowloris) is dropped instead of
-// pinning the nub forever. Connections without deadline support (in-
-// memory pipes wrapped by fault injectors) are served without the
+// read deadline, for the nub and the debug service alike: the idle wait
+// for a frame's first byte is unbounded — a debugger may sit at its
+// prompt for hours — but once a frame has started, the rest must arrive
+// within timeout (zero means DefaultServeTimeout, negative disables
+// it), so a peer that opens a frame and trickles bytes (slowloris) is
+// dropped instead of pinning the server forever. slow reports such a
+// drop, for the caller to charge. Connections without deadline support
+// (in-memory pipes wrapped by fault injectors) are served without the
 // defence.
-func (n *Nub) readRequest(conn io.ReadWriter) (*Msg, error) {
+func readRequest(conn io.Reader, timeout time.Duration) (m *Msg, slow bool, err error) {
 	var first [1]byte
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	timeout := n.ReadTimeout
 	if timeout == 0 {
 		timeout = DefaultServeTimeout
 	}
-	type deadliner interface{ SetReadDeadline(time.Time) error }
-	d, ok := conn.(deadliner)
+	d, ok := conn.(interface{ SetReadDeadline(time.Time) error })
 	armed := ok && timeout > 0 && d.SetReadDeadline(time.Now().Add(timeout)) == nil
-	m, err := readMsgRest(first[0], conn)
+	m, err = readMsgRest(first[0], conn)
 	if armed {
 		_ = d.SetReadDeadline(time.Time{})
 		if err != nil && isTimeout(err) {
-			n.Stats.SlowReads.Add(1)
-			err = fmt.Errorf("nub: dropped slow read after %v: %w", timeout, err)
+			return nil, true, fmt.Errorf("nub: dropped slow read after %v: %w", timeout, err)
 		}
 	}
-	return m, err
+	return m, false, err
 }
 
 // ServeListener accepts connections one at a time, preserving target

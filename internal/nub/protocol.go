@@ -49,16 +49,13 @@ const (
 	// MBatch is an envelope carrying N requests whose N replies come
 	// back in one MBatchReply — one round trip instead of N. It adds no
 	// new concepts to the protocol: the envelope carries ordinary
-	// messages, and a nub that does not advertise batch support in its
-	// welcome is simply driven one message at a time.
+	// messages.
 	MBatch
 	// MFetchLine is the client cache's readahead vehicle: fetch UP TO
 	// Size bytes at Addr, truncated where the containing segment ends,
 	// instead of failing the way an exact fetch must. It never carries
 	// user-visible semantics — the client issues it only speculatively
-	// and falls back to exact fetches when the line comes up short —
-	// and it rides the same WelcomeBatch capability bit, so a nub that
-	// never advertised the bit is never sent one.
+	// and falls back to exact fetches when the line comes up short.
 	MFetchLine
 	// replies and events
 	MWelcome
@@ -72,42 +69,38 @@ const (
 	MPlanted
 	MBatchReply
 	// MSimStats asks the nub for its simulator counters — instructions
-	// executed and decode-cache activity — which come back as an
-	// MSimStatsReply carrying five little-endian 64-bit values (steps,
-	// hits, decodes, invalidations, fallbacks). Purely informational:
-	// it rides the batch capability bit, so a legacy nub refuses it
-	// like any unknown request, and the client degrades to printing
-	// nothing.
+	// executed, decode-cache activity, superblock fusion — which come
+	// back as an MSimStatsReply (a SimStatsReport body; see wirebody.go).
+	// Purely informational.
 	MSimStats
 	MSimStatsReply
 	// MServerStats asks the nub for its robustness counters — recovered
 	// panics, malformed frames, oversize rejects, slow reads, context
-	// faults — which come back as an MServerStatsReply carrying five
-	// little-endian 64-bit values. Like MSimStats it is informational and
-	// rides the batch capability bit.
+	// faults — which come back as an MServerStatsReply (a
+	// ServerStatsReport body). Like MSimStats it is informational.
 	MServerStats
 	MServerStatsReply
 	// MStepInst resumes the target for exactly one instruction: the
 	// machine-level single step that degraded-mode debugging needs when
 	// no symbol table is available to plant stepping breakpoints from.
 	// The nub answers with the usual event message; a step that retires
-	// without faulting reports SIGTRAP with code arch.TrapStep. Rides the
-	// batch capability bit; like MContinue it may not travel in a batch.
+	// without faulting reports SIGTRAP with code arch.TrapStep. Like
+	// MContinue it may not travel in a batch.
 	MStepInst
 	// Session requests, understood only by the multi-session debug
-	// service (WelcomeSessions in the welcome's Val). MOpenSession spawns
-	// a fresh target from the service's program registry (Data names the
-	// program) and binds the connection to it; MAttachSession (Val
-	// carries the session id) re-binds a connection — typically a
-	// reconnecting client — to a live session; MCloseSession kills the
-	// bound session and releases its pool slot. Open and attach answer
-	// with MSession (Val the id, Data the arch name, Addr/Size the
-	// context record) followed by the session's pending stop event,
-	// mirroring the single-target welcome handshake. MServiceStats asks
-	// for service-wide health counters, answered by MServiceStatsReply
-	// (eight little-endian 64-bit values; see Client.ServiceStats). A
-	// legacy nub never advertises the bit and refuses all four like any
-	// unknown request.
+	// service, whose welcome is a lobby (no architecture name).
+	// MOpenSession spawns a fresh target from the service's program
+	// registry (Data names the program) and binds the connection to it;
+	// MAttachSession (Val carries the session id; 0 names the service's
+	// default session) binds a connection — typically a reconnecting
+	// client — to an existing session; MCloseSession kills the bound
+	// session and releases its pool slot. Open and attach answer with
+	// MSession (Val the id, Data the arch name, Addr/Size the context
+	// record) followed by the session's pending stop event, mirroring
+	// the single-target welcome handshake. MServiceStats asks for
+	// service-wide health counters, answered by MServiceStatsReply (a
+	// ServiceStatsReport body). A single-target nub refuses all four
+	// like any unknown request.
 	MOpenSession
 	MAttachSession
 	MCloseSession
@@ -220,18 +213,6 @@ var errOversize = errors.New("nub: message payload too large")
 // request, so the client may simply retry it — stores, plants, and
 // resumes included, which a plain connection loss never permits.
 const CodeRolledBack int32 = 1
-
-// WelcomeBatch is the capability bit in a welcome message's Val field:
-// the nub understands MBatch envelopes. A zero Val — what every nub
-// sent before batching existed — means one message at a time.
-const WelcomeBatch = 1 << 0
-
-// WelcomeSessions is the capability bit for the multi-session debug
-// service: the server understands MOpenSession/MAttachSession/
-// MCloseSession/MServiceStats. A client that never sees the bit never
-// sends a session request, and a legacy client that ignores it debugs
-// the service's legacy target exactly as before.
-const WelcomeSessions = 1 << 1
 
 // MaxBatch bounds how many messages one MBatch envelope may carry.
 const MaxBatch = 512

@@ -297,28 +297,6 @@ func TestStepInst(t *testing.T) {
 	}
 }
 
-// TestLegacyNubRefusesStepInstAndServerStats: both ride the batch
-// capability bit, so a nub predating it answers with a clean error.
-func TestLegacyNubRefusesStepInstAndServerStats(t *testing.T) {
-	a := mips.Little
-	p := machine.New(a, testProgram(t, a), make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.LegacyProtocol = true
-	n.Start()
-	x, y := net.Pipe()
-	go n.Serve(x)
-	c, err := Connect(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.StepInst(); err == nil || !strings.Contains(err.Error(), "unknown request") {
-		t.Fatalf("legacy StepInst err = %v", err)
-	}
-	if _, err := c.ServerStats(); err == nil {
-		t.Fatal("legacy nub answered MServerStats")
-	}
-}
-
 // TestServeListenerClientChurn: debuggers connecting, working, and
 // detaching in sequence must see one continuous target — memory writes
 // and planted breakpoints survive the churn.

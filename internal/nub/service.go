@@ -2,11 +2,11 @@
 // follow-up ("A Machine-Independent Debugger—Revisited") reframes the
 // nub as a server that outlives any single client; Service is that
 // server. Connections are served concurrently, each in its own
-// goroutine with its own panic containment; session ids ride the wire
-// (MOpenSession/MAttachSession, negotiated by the WelcomeSessions
-// capability bit); a target pool spawns simulated processes on demand
-// from a registry of named programs and evicts the least recently used
-// idle session under a configurable cap.
+// goroutine with its own panic containment; every connection is
+// welcomed into a lobby, and session ids ride the wire
+// (MOpenSession/MAttachSession); a target pool spawns simulated
+// processes on demand from a registry of named programs and evicts the
+// least recently used idle session under a configurable cap.
 //
 // The perf core is the shared decode cache: when a session leaves the
 // pool, its predecoded instructions and superblocks are published to a
@@ -18,11 +18,11 @@
 // counters aggregated only when asked, so the request path takes no
 // global mutex — only the bound session's own.
 //
-// Legacy fallback: a service given a legacy target (SetLegacyTarget)
-// greets each connection with that target's welcome, exactly as a
-// single-target nub would, so clients that ignore the sessions bit
-// debug it unchanged; session-aware clients may still open pool
-// sessions on the same connection.
+// The paper's single-target attach is the default session:
+// MAttachSession with id 0 binds the session the service recorded as
+// its default, by the ordinary attach path, and when no session has
+// that id any more it opens the first registered program and records
+// the new id. Nothing is spawned until such an attach arrives.
 //
 // Sessions are crash-only. Every pooled session auto-checkpoints at a
 // configurable instruction interval and carries a compact log of the
@@ -44,7 +44,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -130,9 +129,14 @@ type Service struct {
 	// tests inject failures here; production leaves it nil.
 	FaultHook func(id uint64, n *Nub, req *Msg) bool
 
-	legacy *session
-
 	share *machine.TextCache
+
+	// defMu serializes the default-session rule, so concurrent
+	// attaches to id 0 bind one session. defaultID is the recorded
+	// default session, first the program an id-0 attach opens.
+	defMu     sync.Mutex //ldb:lock service.defMu 5
+	defaultID uint64
+	first     string
 
 	mu       sync.Mutex //ldb:lock service.mu 10
 	programs map[string]spawnSpec
@@ -210,16 +214,9 @@ func (s *Service) Register(name string, a arch.Arch, text, data []byte, entry ui
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.programs[name] = spawnSpec{arch: a, text: text, data: data, entry: entry}
-}
-
-// SetLegacyTarget installs a single target that every connection is
-// bound to on arrival, the way a classic single-target nub greets its
-// debugger. Legacy clients debug it unchanged; session-aware clients
-// can rebind with MOpenSession. Call before serving.
-func (s *Service) SetLegacyTarget(n *Nub) {
-	b := make(chan struct{}, 1)
-	b <- struct{}{}
-	s.legacy = &session{nub: n, busy: b}
+	if s.first == "" {
+		s.first = name
+	}
 }
 
 // SharedCache exposes the service's shared decode cache (for tests and
@@ -252,38 +249,17 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 	}
 	defer func() { unbind() }()
 
-	if leg := s.legacy; leg != nil {
-		select {
-		case <-leg.busy:
-			leg.nub.mu.Lock()
-			dead := leg.nub.dead
-			leg.nub.mu.Unlock()
-			if dead {
-				// The legacy target was killed; fall back to the lobby
-				// so session-aware clients can still open pool targets.
-				leg.busy <- struct{}{}
-			} else {
-				sess = leg
-				if err := leg.nub.serveWelcome(conn, WelcomeSessions); err != nil {
-					return err
-				}
-			}
-		default:
-			// The legacy target is bound to another live connection;
-			// this one lands in the lobby instead of queueing behind it.
-		}
-	}
-	if sess == nil {
-		// Lobby welcome: capabilities only, no target, no event. A
-		// session-aware client proceeds to MOpenSession/MAttachSession;
-		// a legacy client rejects the empty architecture name cleanly.
-		if err := WriteMsg(conn, &Msg{Kind: MWelcome, Val: WelcomeBatch | WelcomeSessions}); err != nil {
-			return err
-		}
+	// The lobby welcome: no target, no event. The client proceeds to
+	// MOpenSession or MAttachSession.
+	if err := WriteMsg(conn, &Msg{Kind: MWelcome}); err != nil {
+		return err
 	}
 
 	for {
-		req, rerr := s.readRequest(conn, sess)
+		req, slow, rerr := readRequest(conn, s.ReadTimeout)
+		if slow && sess != nil {
+			sess.nub.Stats.SlowReads.Add(1)
+		}
 		if rerr != nil {
 			if errors.Is(rerr, errOversize) {
 				if sess != nil {
@@ -309,7 +285,13 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 			}
 		case MAttachSession:
 			unbind()
-			ns, rep := s.attachSession(req.Val)
+			var ns *session
+			var rep *Msg
+			if req.Val == 0 {
+				ns, rep = s.attachDefault()
+			} else {
+				ns, rep = s.attachSession(req.Val)
+			}
 			if rep != nil {
 				if err := WriteMsg(conn, rep); err != nil {
 					return err
@@ -327,7 +309,7 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 			// holds and the answer is a clean MOK. A stored checkpoint
 			// is dropped either way, so a closed session cannot
 			// resurrect.
-			if sess != nil && sess.id != 0 {
+			if sess != nil {
 				id := sess.id
 				s.kill(sess)
 				s.remove(sess)
@@ -383,47 +365,25 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 				}
 				continue
 			}
+			if done && s.dead(sess) {
+				// MKill leaves the nub dead: drop the session — and any
+				// checkpoint it was resurrected from — before
+				// acknowledging, so an attach that follows the reply
+				// finds it gone. MDetach leaves it stopped for a later
+				// attach.
+				s.remove(sess)
+				s.dropPassivated(sess.id)
+				sess = nil
+			}
 			if _, err := conn.Write(buf.Bytes()); err != nil {
 				return err
 			}
 			if done {
-				// MKill leaves the nub dead: drop the session from the
-				// pool. MDetach leaves it stopped for a later attach.
-				if sess.id != 0 && s.dead(sess) {
-					s.remove(sess)
-					sess = nil
-				}
 				return nil
 			}
 			s.logRequest(sess, req)
 		}
 	}
-}
-
-// readRequest mirrors Nub.readRequest for the service's connection
-// loop: unbounded idle wait for a frame's first byte, ReadTimeout for
-// the rest. Slow reads are charged to the bound session, if any.
-func (s *Service) readRequest(conn net.Conn, sess *session) (*Msg, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, err
-	}
-	timeout := s.ReadTimeout
-	if timeout == 0 {
-		timeout = DefaultServeTimeout
-	}
-	armed := timeout > 0 && conn.SetReadDeadline(time.Now().Add(timeout)) == nil
-	m, err := readMsgRest(first[0], conn)
-	if armed {
-		_ = conn.SetReadDeadline(time.Time{})
-		if err != nil && isTimeout(err) {
-			if sess != nil {
-				sess.nub.Stats.SlowReads.Add(1)
-			}
-			err = fmt.Errorf("nub: dropped slow read after %v: %w", timeout, err)
-		}
-	}
-	return m, err
 }
 
 // announce sends the MSession reply and the session's pending stop
@@ -432,25 +392,7 @@ func (s *Service) announce(conn net.Conn, sess *session) error {
 	n := sess.nub
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	rep := &Msg{
-		Kind: MSession,
-		Val:  sess.id,
-		Addr: n.ctxAddr,
-		Size: uint32(n.P.A.Context().Size),
-		Data: []byte(n.P.A.Name()),
-	}
-	if err := WriteMsg(conn, rep); err != nil {
-		return err
-	}
-	n.Stats.MsgsSent.Add(1)
-	if n.pending == nil {
-		n.resumeAndLatch(n.runAndLatch)
-	}
-	if err := WriteMsg(conn, n.pending); err != nil {
-		return err
-	}
-	n.Stats.MsgsSent.Add(1)
-	return nil
+	return n.greetLocked(conn, MSession, sess.id)
 }
 
 // openSession spawns the named program into a new session and returns
@@ -568,6 +510,48 @@ func (s *Service) attachSession(id uint64) (*session, *Msg) {
 	return sess, nil
 }
 
+// attachDefault binds the default session: the recorded default id by
+// the ordinary attach path — live, busy, or passivated alike — or, when
+// no session has that id any more, a fresh session of the first
+// registered program, recorded as the new default. The attach runs
+// outside defMu, so waiting for a busy default session holds up no
+// other attach; a session that vanished during the wait sends the rule
+// round again.
+func (s *Service) attachDefault() (*session, *Msg) {
+	for {
+		s.defMu.Lock()
+		id := s.defaultID
+		if !s.exists(id) {
+			s.mu.Lock()
+			first := s.first
+			s.mu.Unlock()
+			sess, rep := s.openSession(first)
+			if rep == nil {
+				s.defaultID = sess.id
+			}
+			s.defMu.Unlock()
+			return sess, rep
+		}
+		s.defMu.Unlock()
+		if sess, rep := s.attachSession(id); rep == nil || s.exists(id) {
+			return sess, rep
+		}
+	}
+}
+
+// exists reports whether session id is live or passivated, in memory or
+// in the spill directory: whether an attach could bind it.
+func (s *Service) exists(id uint64) bool {
+	s.mu.Lock()
+	ok := s.sessions[id] != nil || s.passive[id] != nil
+	s.mu.Unlock()
+	if !ok && s.PassivateDir != "" {
+		_, err := os.Stat(passivePath(s.PassivateDir, id))
+		ok = err == nil
+	}
+	return ok
+}
+
 // dead reports whether the session's target has terminated.
 func (s *Service) dead(sess *session) bool {
 	sess.nub.mu.Lock()
@@ -608,7 +592,7 @@ func (s *Service) retire(sess *session) {
 // token held and its nub still alive; a dead target has nothing worth
 // preserving.
 func (s *Service) passivate(victim *session) {
-	if s.CheckpointInterval < 0 || victim.id == 0 {
+	if s.CheckpointInterval < 0 {
 		return
 	}
 	n := victim.nub
@@ -719,7 +703,7 @@ func (s *Service) dropPassivated(id uint64) {
 	s.mu.Lock()
 	delete(s.passive, id)
 	s.mu.Unlock()
-	if dir := s.PassivateDir; dir != "" && id != 0 {
+	if dir := s.PassivateDir; dir != "" {
 		_ = os.Remove(passivePath(dir, id))
 	}
 }
@@ -902,8 +886,7 @@ func rolledBack(kind MsgKind) *Msg {
 }
 
 // statsReply builds the MServiceStatsReply body — a ServiceStatsReport
-// through the shared wire-body codec. Clients built for the original
-// eight-value body read a prefix of it (see wirebody.go).
+// through the shared wire-body codec.
 func (s *Service) statsReply(sess *session) *Msg {
 	s.mu.Lock()
 	live := int64(len(s.sessions))
@@ -914,9 +897,6 @@ func (s *Service) statsReply(sess *session) *Msg {
 	}
 	s.mu.Unlock()
 	total += s.closedRequests.Load()
-	if s.legacy != nil {
-		total += s.legacy.nub.Stats.RoundTrips.Load()
-	}
 	hits, misses := s.share.Stats()
 	var bound int64
 	if sess != nil {

@@ -4,6 +4,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,32 +185,41 @@ func TestServiceReconnectReattaches(t *testing.T) {
 	}
 }
 
-// TestServiceLegacyFallback points the service at a legacy target: a
-// client that knows nothing of sessions debugs it exactly as it would a
-// single-target nub, while a session-aware client on the same endpoint
-// can still rebind to a pool session.
-func TestServiceLegacyFallback(t *testing.T) {
-	a := allArches[0]
-	p := machine.New(a, testProgram(t, a), make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.Start()
-	_, addr := startService(t, func(s *Service) { s.SetLegacyTarget(n) })
-
-	c, conn, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+// TestServiceDefaultSession is the paper's single-target attach on the
+// service: attaching to id 0 binds a session of the first registered
+// program, paused at its trap; a later connection attaching to id 0
+// after a detach — or after the session was passivated — sees the same
+// stop; and once the session is killed or closed, id 0 opens a fresh
+// one. A connection bound to the default session can still open pool
+// sessions.
+func TestServiceDefaultSession(t *testing.T) {
+	s, addr := startService(t, nil)
+	if s.Sessions() != 0 {
+		t.Fatal("service spawned a session before any attach")
 	}
-	if c.ArchName != a.Name() {
-		t.Fatalf("legacy welcome arch = %q", c.ArchName)
+	attach0 := func() (*Client, net.Conn) {
+		t.Helper()
+		c, conn, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := c.AttachSession(0); err != nil {
+			t.Fatal(err)
+		}
+		return c, conn
+	}
+
+	c, conn := attach0()
+	id := c.SessionID()
+	if id == 0 || c.ArchName != allArches[0].Name() {
+		t.Fatalf("default session: id %d arch %q", id, c.ArchName)
 	}
 	if c.Last.Sig != arch.SigTrap || c.Last.Code != arch.TrapPause {
-		t.Fatalf("legacy first event = %v", c.Last)
+		t.Fatalf("default first event = %v", c.Last)
 	}
 	if ev, err := c.Continue(); err != nil || ev.Code != 3 {
-		t.Fatalf("legacy continue: %v, %v", ev, err)
-	}
-	if v, err := c.FetchInt(amem.Data, machine.DataBase, 4); err != nil || v != 42 {
-		t.Fatalf("legacy fetch = %d, %v", v, err)
+		t.Fatalf("default continue: %v, %v", ev, err)
 	}
 	if err := c.Detach(); err != nil {
 		t.Fatal(err)
@@ -218,56 +228,116 @@ func TestServiceLegacyFallback(t *testing.T) {
 
 	// A second connection sees the same target where it stopped, then
 	// rebinds to a pool session of a different architecture.
-	c2, conn2, err := Dial(addr)
-	if err != nil {
+	c, conn = attach0()
+	if c.SessionID() != id || c.Last.Code != 3 {
+		t.Fatalf("second attach: session %d event %v, want session %d code 3", c.SessionID(), c.Last, id)
+	}
+	if _, err := c.OpenSession("vax"); err != nil {
 		t.Fatal(err)
 	}
-	defer conn2.Close()
-	if c2.Last.Code != 3 {
-		t.Fatalf("second legacy event = %v", c2.Last)
+	if c.ArchName != "vax" {
+		t.Fatalf("rebound arch = %q", c.ArchName)
 	}
-	if _, err := c2.OpenSession("vax"); err != nil {
+	conn.Close()
+
+	// Passivated, the default session resurrects on the next attach.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.PassivateIdle(1) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("default session never came idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c, _ = attach0()
+	if c.SessionID() != id || c.Last.Code != 3 {
+		t.Fatalf("resurrected: session %d event %v, want session %d code 3", c.SessionID(), c.Last, id)
+	}
+
+	// Killed, and then closed: each time id 0 opens a fresh session.
+	if err := c.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if c2.ArchName != "vax" {
-		t.Fatalf("rebound arch = %q", c2.ArchName)
+	c, _ = attach0()
+	if c.SessionID() == id || c.Last.Code != arch.TrapPause {
+		t.Fatalf("attach after kill: session %d event %v, want a fresh session", c.SessionID(), c.Last)
+	}
+	id = c.SessionID()
+	if err := c.CloseSession(); err != nil {
+		t.Fatal(err)
+	}
+	c, _ = attach0()
+	if c.SessionID() == id || c.Last.Code != arch.TrapPause {
+		t.Fatalf("attach after close: session %d event %v, want a fresh session", c.SessionID(), c.Last)
 	}
 }
 
-// A connection arriving while another one holds the legacy target must
-// land in the lobby immediately, not queue behind the live session.
-func TestServiceLegacyBusyFallsToLobby(t *testing.T) {
-	a := allArches[0]
-	p := machine.New(a, testProgram(t, a), make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.Start()
-	_, addr := startService(t, func(s *Service) { s.SetLegacyTarget(n) })
-
+// While the default session is bound, an attach to id 0 reports it busy
+// once AttachWait runs out, and the connection stays in the lobby, free
+// to open a session of its own.
+func TestServiceDefaultSessionBusy(t *testing.T) {
+	_, addr := startService(t, func(s *Service) { s.AttachWait = 50 * time.Millisecond })
 	c1, conn1, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn1.Close()
-	if c1.ArchName != a.Name() {
-		t.Fatalf("first connection arch = %q, want legacy target", c1.ArchName)
+	if _, err := c1.AttachSession(0); err != nil {
+		t.Fatal(err)
 	}
 
-	// The legacy token is held by c1; this connection gets the lobby
-	// and can still open a pool session.
 	c2, conn2, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	if !c2.Sessions() || c2.ArchName != "" {
-		t.Fatalf("second connection: sessions=%v arch=%q, want lobby", c2.Sessions(), c2.ArchName)
+	if _, err := c2.AttachSession(0); err == nil || !strings.Contains(err.Error(), "busy") {
+		t.Fatalf("attach to a bound default session: %v", err)
+	}
+	if c2.SessionID() != 0 || c2.ArchName != "" {
+		t.Fatalf("refused attach left session %d arch %q, want the lobby", c2.SessionID(), c2.ArchName)
 	}
 	if _, err := c2.OpenSession("sparc"); err != nil {
 		t.Fatal(err)
 	}
-	// The legacy session was untouched throughout.
+	// The default session was untouched throughout.
 	if ev, err := c1.Continue(); err != nil || ev.Code != 3 {
-		t.Fatalf("legacy continue: %v, %v", ev, err)
+		t.Fatalf("default continue: %v, %v", ev, err)
+	}
+}
+
+// Concurrent first attaches to id 0 on a fresh service bind one session:
+// one connection gets it, the other waits and reports it busy.
+func TestServiceDefaultSessionConcurrentAttach(t *testing.T) {
+	s, addr := startService(t, func(s *Service) { s.AttachWait = 50 * time.Millisecond })
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		c, conn, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = c.AttachSession(0)
+		}()
+	}
+	wg.Wait()
+	bound := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			bound++
+		case !strings.Contains(err.Error(), "busy"):
+			t.Errorf("attach %d: %v", i, err)
+		}
+	}
+	if bound != 1 {
+		t.Fatalf("attaches bound %d sessions (errors %v), want exactly one", bound, errs)
+	}
+	if n := s.Sessions(); n != 1 {
+		t.Fatalf("pool holds %d sessions, want 1", n)
 	}
 }
 
@@ -459,9 +529,10 @@ func TestServiceStatsPerSession(t *testing.T) {
 	}
 }
 
-// TestServicePlainNubRefusesSessionKinds pins the legacy story on the
-// wire: a single-target nub answers MOpenSession with a clean error and
-// keeps serving, and the client API refuses locally before sending.
+// TestServicePlainNubRefusesSessionKinds pins the single-target story
+// on the wire: a nub answers MServiceStats with a clean error and keeps
+// serving, and the client API refuses session requests locally before
+// sending.
 func TestServicePlainNubRefusesSessionKinds(t *testing.T) {
 	a := allArches[0]
 	c, _, _, err := Launch(a, testProgram(t, a), nil, machine.TextBase)

@@ -1,13 +1,12 @@
 package nub
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 
 	"ldb/internal/arch"
-
 	"ldb/internal/arch/mips"
 	"ldb/internal/machine"
 )
@@ -42,66 +41,63 @@ func TestSimStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSimStatsPreFusionNub pairs the client with a nub from before
-// superblock fusion: its simstats reply stops at Fallbacks (40 bytes).
-// The client must accept the short body and report zero fusion
-// counters, not reject the reply as malformed.
+// TestSimStatsPreFusionNub pairs the client with a peer from before
+// superblock fusion: its simstats reply stops at Fallbacks (40 bytes),
+// and the client rejects it as malformed — every nub sends the 56-byte
+// body.
 func TestSimStatsPreFusionNub(t *testing.T) {
+	c := fakePeer(t, &Msg{Kind: MWelcome, Data: []byte("mips")}, MSimStats, &Msg{Kind: MSimStatsReply, Data: make([]byte, 40)})
+	if _, err := c.SimStats(); err == nil || !strings.Contains(err.Error(), "malformed simstats reply (40 bytes)") {
+		t.Fatalf("40-byte simstats body: %v", err)
+	}
+}
+
+// TestServiceStatsPrePassivationBody: a servicestats reply that stops
+// before the crash-only counters (64 bytes) is rejected as malformed —
+// every service sends the 88-byte body.
+func TestServiceStatsPrePassivationBody(t *testing.T) {
+	c := fakePeer(t, &Msg{Kind: MWelcome}, MServiceStats, &Msg{Kind: MServiceStatsReply, Data: make([]byte, 64)})
+	if _, err := c.ServiceStats(); err == nil || !strings.Contains(err.Error(), "malformed servicestats reply (64 bytes)") {
+		t.Fatalf("64-byte servicestats body: %v", err)
+	}
+}
+
+// fakePeer connects a client to a scripted server that sends welcome
+// (and, unless it is a lobby, a pause event), waits for one request of
+// kind want, and answers it with reply.
+func fakePeer(t *testing.T, welcome *Msg, want MsgKind, reply *Msg) *Client {
+	t.Helper()
 	cliConn, srvConn := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
 		done <- func() error {
-			if err := WriteMsg(srvConn, &Msg{Kind: MWelcome, Data: []byte("mips"), Val: WelcomeBatch}); err != nil {
+			if err := WriteMsg(srvConn, welcome); err != nil {
 				return err
 			}
-			if err := WriteMsg(srvConn, &Msg{Kind: MEvent, Sig: int32(arch.SigTrap), Code: arch.TrapPause}); err != nil {
-				return err
+			if len(welcome.Data) > 0 {
+				if err := WriteMsg(srvConn, &Msg{Kind: MEvent, Sig: int32(arch.SigTrap), Code: arch.TrapPause}); err != nil {
+					return err
+				}
 			}
 			m, err := ReadMsg(srvConn)
 			if err != nil {
 				return err
 			}
-			if m.Kind != MSimStats {
-				return fmt.Errorf("expected MSimStats, got %v", m.Kind)
+			if m.Kind != want {
+				return fmt.Errorf("expected %v, got %v", want, m.Kind)
 			}
-			body := make([]byte, 40)
-			for i, v := range []uint64{100, 90, 8, 0, 2} {
-				binary.LittleEndian.PutUint64(body[i*8:], v)
-			}
-			return WriteMsg(srvConn, &Msg{Kind: MSimStatsReply, Data: body})
+			return WriteMsg(srvConn, reply)
 		}()
 	}()
+	t.Cleanup(func() {
+		cliConn.Close()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
 	c, err := Connect(cliConn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.SimStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serr := <-done; serr != nil {
-		t.Fatal(serr)
-	}
-	want := SimStatsReport{Steps: 100, Hits: 90, Decodes: 8, Fallbacks: 2}
-	if st != want {
-		t.Errorf("pre-fusion reply parsed as %+v, want %+v", st, want)
-	}
-}
-
-// TestSimStatsLegacyNub pairs the client with a nub built before
-// MSimStats existed: the request must be refused, not mishandled.
-func TestSimStatsLegacyNub(t *testing.T) {
-	a := mips.Little
-	code := testProgram(t, a)
-	p := machine.New(a, code, make([]byte, 64), machine.TextBase)
-	n := New(p)
-	n.LegacyProtocol = true
-	n.Start()
-	c, err := Pair(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SimStats(); err == nil {
-		t.Fatal("legacy nub answered a simstats request")
-	}
+	return c
 }

@@ -5,22 +5,21 @@ import (
 	"fmt"
 )
 
-// The versioned reply bodies live here, one struct per wire kind, with
-// their codecs beside them. Each struct is append-only: old readers
-// parse a prefix of new replies, so every field's byte offset is frozen
-// the day a reader ships. The //ldb:wire-body and //ldb:off directives
-// let the wirecompat analyzer recompute the offsets on every run and
-// reject a reorder or mid-struct insertion before it reaches the wire.
+// The stats reply bodies live here, one struct per wire kind, with
+// their codecs beside them. Each struct is append-only: every field's
+// byte offset is frozen once it ships. The //ldb:wire-body and
+// //ldb:off directives let the wirecompat analyzer recompute the
+// offsets on every run and reject a reorder or mid-struct insertion
+// before it reaches the wire.
 // The encode/decode pairs below are the only writers and readers of
 // these bodies — the nub, the service, and the client all go through
 // them, so both sides of the protocol are bound to one definition.
 
 // SimStatsReport is the nub's simulator report: instructions executed
 // and the decode-cache counters behind them. Blocks and BlockInsns
-// describe superblock fusion; a nub predating fusion reports a
-// 40-byte body and both stay zero.
+// describe superblock fusion.
 //
-//ldb:wire-body simstatsreply size=56 legacy=40
+//ldb:wire-body simstatsreply size=56
 type SimStatsReport struct {
 	Steps         int64 //ldb:off 0
 	Hits          int64 //ldb:off 8
@@ -31,8 +30,6 @@ type SimStatsReport struct {
 	BlockInsns    int64 //ldb:off 48
 }
 
-// encodeSimStats writes the full modern body; legacy readers stop at
-// Fallbacks on their own.
 func encodeSimStats(r SimStatsReport) []byte {
 	b := make([]byte, 0, 56)
 	for _, v := range []int64{r.Steps, r.Hits, r.Decodes, r.Invalidations,
@@ -42,18 +39,15 @@ func encodeSimStats(r SimStatsReport) []byte {
 	return b
 }
 
-// decodeSimStats accepts the modern 56-byte body or the 40-byte legacy
-// prefix a pre-fusion nub sends.
 func decodeSimStats(b []byte) (SimStatsReport, error) {
-	if len(b) != 40 && len(b) != 56 {
+	if len(b) != 56 {
 		return SimStatsReport{}, fmt.Errorf("nub: malformed simstats reply (%d bytes)", len(b))
 	}
 	v := func(i int) int64 { return int64(binary.LittleEndian.Uint64(b[i*8:])) }
-	st := SimStatsReport{Steps: v(0), Hits: v(1), Decodes: v(2), Invalidations: v(3), Fallbacks: v(4)}
-	if len(b) == 56 { // a pre-fusion nub stops at Fallbacks
-		st.Blocks, st.BlockInsns = v(5), v(6)
-	}
-	return st, nil
+	return SimStatsReport{
+		Steps: v(0), Hits: v(1), Decodes: v(2), Invalidations: v(3),
+		Fallbacks: v(4), Blocks: v(5), BlockInsns: v(6),
+	}, nil
 }
 
 // ServerStatsReport is the nub's robustness report: what hostile or
@@ -92,7 +86,7 @@ func decodeServerStats(b []byte) (ServerStatsReport, error) {
 // shared-decode-cache counters, plus per-session and aggregate request
 // counts.
 //
-//ldb:wire-body servicestatsreply size=88 legacy=64
+//ldb:wire-body servicestatsreply size=88
 type ServiceStatsReport struct {
 	Live            int64 //ldb:off 0  — sessions in the pool now
 	Peak            int64 //ldb:off 8  — most sessions ever live at once
@@ -102,9 +96,7 @@ type ServiceStatsReport struct {
 	SharedMisses    int64 //ldb:off 40 — cold attaches that had to decode
 	SessionRequests int64 //ldb:off 48 — requests served for this connection's session
 	TotalRequests   int64 //ldb:off 56 — requests served across all sessions ever
-	// Crash-only lifecycle counters; zero against services built before
-	// passivation existed (their replies carry only the eight values
-	// above).
+	// Crash-only lifecycle counters.
 	Passivated  int64 //ldb:off 64 — sessions checkpointed into the passivated store on eviction
 	Resurrected int64 //ldb:off 72 — sessions rebuilt from a stored checkpoint on attach
 	Rollbacks   int64 //ldb:off 80 — crashed requests answered by checkpoint rollback
@@ -120,20 +112,15 @@ func encodeServiceStats(r ServiceStatsReport) []byte {
 	return b
 }
 
-// decodeServiceStats accepts the modern 88-byte body or the 64-byte
-// prefix a pre-passivation service sends.
 func decodeServiceStats(b []byte) (ServiceStatsReport, error) {
-	if len(b) != 64 && len(b) != 88 {
+	if len(b) != 88 {
 		return ServiceStatsReport{}, fmt.Errorf("nub: malformed servicestats reply (%d bytes)", len(b))
 	}
 	v := func(i int) int64 { return int64(binary.LittleEndian.Uint64(b[i*8:])) }
-	r := ServiceStatsReport{
+	return ServiceStatsReport{
 		Live: v(0), Peak: v(1), Evicted: v(2), Opened: v(3),
 		SharedHits: v(4), SharedMisses: v(5),
 		SessionRequests: v(6), TotalRequests: v(7),
-	}
-	if len(b) == 88 {
-		r.Passivated, r.Resurrected, r.Rollbacks = v(8), v(9), v(10)
-	}
-	return r, nil
+		Passivated: v(8), Resurrected: v(9), Rollbacks: v(10),
+	}, nil
 }
