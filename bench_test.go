@@ -352,13 +352,14 @@ func measureSim(b *testing.B, prog *driver.Program, noPredecode bool) (ips, hitR
 	return float64(steps) / time.Since(start).Seconds(), hitRate, instr
 }
 
-// BenchmarkSimulatorPredecode measures all four ISAs with the decode
-// cache (and superblock fusion) on and off, asserts the headline
-// speedup floors — ≥4.5× on MIPS and SPARC, ≥3.5× on the 68020 and
-// VAX — and records every row in BENCH_sim.json (the simulator
-// counterpart of BENCH_wire.json). The floors sit below the typical
-// measurements (~6× mips/sparc, ~4.7× m68k, ~4× vax; see
-// EXPERIMENTS.md) to stay robust to machine noise.
+// BenchmarkSimulatorPredecode measures all four ISAs on the cached
+// engine (decode cache and superblock fusion) and the uncached one
+// (decode, execute, and discard every instruction), asserts the
+// speedup floors — ≥8× on MIPS, ≥9× on SPARC and the 68020, ≥6× on
+// the VAX — and records every row in BENCH_sim.json (the simulator
+// counterpart of BENCH_wire.json). Each floor is at most 0.7× the
+// lowest of 16 solo runs on a 2-vCPU VM (see EXPERIMENTS.md E5), so it
+// holds under that machine's noise.
 func BenchmarkSimulatorPredecode(b *testing.B) {
 	var rows []simMetrics
 	for _, t := range []string{"mips", "sparc", "m68k", "vax"} {
@@ -376,14 +377,7 @@ func BenchmarkSimulatorPredecode(b *testing.B) {
 		}
 		rows = append(rows, m)
 		b.ReportMetric(m.Speedup, t+"_speedup")
-		floor := 0.0
-		switch t {
-		case "mips", "sparc":
-			floor = 4.5
-		case "m68k", "vax":
-			floor = 3.5
-		}
-		if floor > 0 && m.Speedup < floor {
+		if floor := map[string]float64{"mips": 8, "sparc": 9, "m68k": 9, "vax": 6}[t]; m.Speedup < floor {
 			b.Fatalf("%s: %.0f cached vs %.0f uncached instructions/sec (%.2fx) — want >= %.1fx",
 				t, cached, uncached, m.Speedup, floor)
 		}

@@ -101,12 +101,12 @@ func writeBench(path string, n int, ax corpus.Axes, st [2]corpus.Stats, elapsed 
 			"executed_builds":   st[i].Executed["build"],
 			"executed_sessions": st[i].Executed["session"],
 			"executed_diffs":    st[i].Executed["diff"],
-			"up_to_date": st[i].UpToDate,
+			"up_to_date":        st[i].UpToDate,
 			// Fraction of wanted diff nodes restored straight from the
 			// cache (100 on a clean re-run, 0 on a cold one).
 			"incremental_hit_pct": 100 * float64(st[i].UpToDate) / float64(max(n, 1)),
 			"elapsed_ms":          elapsed[i].Milliseconds(),
-			"scenarios_per_sec": float64(n) / max(elapsed[i].Seconds(), 1e-9),
+			"scenarios_per_sec":   float64(n) / max(elapsed[i].Seconds(), 1e-9),
 		}
 	}
 	b, err := json.MarshalIndent(rows, "", " ")

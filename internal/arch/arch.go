@@ -54,7 +54,7 @@ func (s Signal) String() string {
 	return fmt.Sprintf("SIG(%d)", int(s))
 }
 
-// FaultKind classifies why Step stopped.
+// FaultKind classifies why execution stopped.
 type FaultKind int
 
 // Fault kinds.
@@ -175,9 +175,18 @@ type Arch interface {
 
 	Context() ContextLayout
 
-	// Step decodes and executes one instruction. It returns nil if
-	// execution may simply continue.
-	Step(p Proc) *Fault
+	// Decode examines the instruction starting at code[off] (code is
+	// the raw segment image in the target's byte order; pc is the
+	// virtual address of code[off]) and returns its predecoded form. It
+	// is the only statement of the architecture's instruction semantics:
+	// the simulator executes nothing but what Decode returns. A nil
+	// result means the bytes at off are not a complete legal
+	// instruction in code, and the simulator raises SIGILL at pc.
+	//
+	// Decode must be free of side effects on the processor state:
+	// operand modes that write registers (the VAX's autoincrement) defer
+	// those writes to Exec time.
+	Decode(code []byte, off int, pc uint32) *DecodedInsn
 
 	// SyscallArg reads argument i of a system call per the target's
 	// convention; SyscallRet delivers the result.
@@ -219,7 +228,7 @@ type DecodedInsn struct {
 	// returns the next pc and nil, and the caller commits the pc; on a
 	// fault it returns the fault and the caller leaves the pc alone
 	// (handlers that must advance it first, like syscalls, call
-	// p.SetPC themselves, exactly as Step does).
+	// p.SetPC themselves).
 	Exec func(p Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *Fault)
 	Len  uint32
 	// Flags carries the control-flow metadata the superblock builder
@@ -228,11 +237,10 @@ type DecodedInsn struct {
 	// Uop, when not UopNone, is a machine-independent micro-op
 	// equivalent of Exec that the superblock engine executes inline in
 	// its dispatch loop, skipping the indirect call entirely. Exec is
-	// always present and always agrees with the micro-op — the
-	// per-instruction engine and single-stepping ignore Uop. Micro-ops
-	// are only attached to 4-byte fixed-width instructions (the
-	// dispatch loop advances the pc by 4); variable-length back ends
-	// keep closures.
+	// always present and always agrees with the micro-op — uncached
+	// execution and single-stepping ignore Uop. Micro-ops are only
+	// attached to 4-byte fixed-width instructions (the dispatch loop
+	// advances the pc by 4); variable-length back ends keep closures.
 	Uop        Uop
 	UD, US, UT uint8
 	UImm       uint32
@@ -383,21 +391,6 @@ func (d *DecodedInsn) MemUop(op Uop, rd, rs, rt int, imm uint32) *DecodedInsn {
 	}
 	d.Uop, d.UD, d.US, d.UT, d.UImm = op, uint8(rd), uint8(rs), uint8(rt), imm
 	return d
-}
-
-// Decoder is an optional extension of Arch: architectures that
-// implement it execute from predecoded instructions. Decode examines
-// the instruction starting at code[off] (code is the raw segment image
-// in the target's byte order; pc is the virtual address of code[off])
-// and returns its predecoded form, or nil when the bytes do not decode
-// cleanly — the caller then falls back to Step, which reports the
-// fault exactly as uncached execution would.
-//
-// Decode must be free of side effects on the processor state: operand
-// modes that write registers (the VAX's autoincrement) defer those
-// writes to Exec time.
-type Decoder interface {
-	Decode(code []byte, off int, pc uint32) *DecodedInsn
 }
 
 // RegWrite stores v into register r unless r is a hardwired-zero

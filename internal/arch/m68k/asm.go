@@ -86,7 +86,7 @@ const (
 )
 
 // Flag bits (shared scheme with the SPARC simulator, private to each
-// arch's Step).
+// arch's decoder).
 const (
 	FlagZ = 1 << 0
 	FlagN = 1 << 1 // signed less-than after Cmp(a, b)

@@ -6,10 +6,54 @@ import (
 	"ldb/internal/arch"
 )
 
-// push and pop are the stack helpers Step used to rebuild as closures
-// every instruction, hoisted to package level so the decoded handlers
-// and the interpreter share one definition (including the quirk that a
-// faulting push leaves SP decremented).
+func compareFlags(signedLess, unsignedLess, equal bool) uint32 {
+	var f uint32
+	if equal {
+		f |= FlagZ
+	}
+	if signedLess {
+		f |= FlagN
+	}
+	if unsignedLess {
+		f |= FlagC
+	}
+	return f
+}
+
+func condTrue(cond int, flag uint32) bool {
+	z := flag&FlagZ != 0
+	n := flag&FlagN != 0
+	c := flag&FlagC != 0
+	switch cond {
+	case CcRA:
+		return true
+	case CcEQ:
+		return z
+	case CcNE:
+		return !z
+	case CcLT:
+		return n
+	case CcGE:
+		return !n
+	case CcGT:
+		return !z && !n
+	case CcLE:
+		return z || n
+	case CcCS:
+		return c
+	case CcCC:
+		return !c
+	case CcHI:
+		return !c && !z
+	case CcLS:
+		return c || z
+	}
+	return false
+}
+
+// push and pop are the decoded handlers' stack helpers. A push whose
+// store faults leaves SP decremented; a pop whose load faults leaves SP
+// alone.
 func push(p arch.Proc, v uint32) *arch.Fault {
 	sp := p.Reg(SPr) - 4
 	p.SetReg(SPr, sp)
@@ -26,13 +70,13 @@ func pop(p arch.Proc) (uint32, *arch.Fault) {
 	return v, nil
 }
 
-// Decode implements arch.Decoder. 68020 instructions are one 16-bit
+// Decode implements arch.Arch. 68020 instructions are one 16-bit
 // word plus zero, one, or two extension words; the extensions are read
 // from the segment image here, so Len records the true byte length and
 // the handlers never re-fetch them. Register fields are 4 bits and the
 // register file is 16 long, so the handlers index regs directly. Words
-// that do not decode (or whose extensions run off the segment) return
-// nil for the Step fallback.
+// that do not decode, at an odd offset, or whose extensions run off the
+// segment return nil, which the simulator reports as SIGILL.
 func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	if off < 0 || off+2 > len(code) || off&1 != 0 {
 		return nil

@@ -17,11 +17,20 @@ func dst(r int) int {
 	return r
 }
 
-// Decode implements arch.Decoder. All bit fields, sign extensions, and
+func boolFlag(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Decode implements arch.Arch. All bit fields, sign extensions, and
 // branch/jump targets are extracted here, once; the returned handlers
 // are flat closures that touch only the register file and memory.
-// Anything that would raise SIGILL decodes to nil so the Step fallback
-// reports the fault identically.
+// Anything that is not a legal instruction decodes to nil, which the
+// simulator reports as SIGILL. The simulator interlocks load delay
+// slots (as the R4000 did), so scheduling affects code size, not
+// semantics.
 func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	if off < 0 || off+4 > len(code) || off&3 != 0 {
 		return nil

@@ -21,13 +21,51 @@ func subFlags(a, b uint32) uint32 {
 	return fl
 }
 
-// Decode implements arch.Decoder. The second operand of arithmetic and
+func condTrue(cond int, flag uint32) bool {
+	z := flag&FlagZ != 0
+	n := flag&FlagN != 0
+	c := flag&FlagC != 0
+	switch cond {
+	case CondLEU:
+		return c || z
+	case CondCS:
+		return c
+	case CondGU:
+		return !c && !z
+	case CondCC:
+		return !c
+	case CondN:
+		return false
+	case CondA:
+		return true
+	case CondE:
+		return z
+	case CondNE:
+		return !z
+	case CondL:
+		return n
+	case CondGE:
+		return !n
+	case CondLE:
+		return z || n
+	case CondG:
+		return !z && !n
+	}
+	return false
+}
+
+func signExt13(w uint32) uint32 {
+	return uint32(int32(w<<19) >> 19)
+}
+
+// Decode implements arch.Arch. The second operand of arithmetic and
 // memory forms is either a sign-extended 13-bit immediate or a register
 // read; decode resolves which once (rs2 < 0 means "use the immediate"),
 // and the hottest forms predecode to separate register and immediate
 // closures so execution never re-tests it.
 // Writes to %g0 predecode to the -1 slot that arch.RegWrite discards.
-// Undecodable words return nil and fall back to Step for the SIGILL.
+// Words that are not legal instructions decode to nil, which the
+// simulator reports as SIGILL.
 func (s *Sparc) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	if off < 0 || off+4 > len(code) || off&3 != 0 {
 		return nil

@@ -6,15 +6,40 @@ import (
 	"ldb/internal/arch"
 )
 
+func sigill(pc uint32) *arch.Fault {
+	return &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigIll, PC: pc}
+}
+
+func compareFlags(a, b uint32) uint32 {
+	var f uint32
+	if a == b {
+		f |= FlagZ
+	}
+	if int32(a) < int32(b) {
+		f |= FlagN
+	}
+	if a < b {
+		f |= FlagC
+	}
+	return f
+}
+
+// Operand kinds.
+const (
+	oReg = iota
+	oFReg
+	oImm
+	oMem
+)
+
 // copnd is a compiled operand specifier: the addressing-mode dispatch
-// Step pays per execution is resolved once at decode time. Register,
-// float-register, immediate, and absolute operands are fully static;
-// the register-relative modes compile to a small effective-address
-// closure over the register file (adr), which also carries any deferred
-// register side effect — autoincrement writes back when the address is
-// taken, which is the point in Step's sequencing where operand() ran.
-// Evaluating an operand therefore never touches memory and never
-// faults; only the read or write through it can.
+// is resolved once at decode time. Register, float-register, immediate,
+// and absolute operands are fully static; the register-relative modes
+// compile to a small effective-address closure over the register file
+// (adr), which also carries any deferred register side effect —
+// autoincrement writes back when the handler takes the address, in
+// operand order. Evaluating an operand therefore never touches memory
+// and never faults; only the read or write through it can.
 type copnd struct {
 	kind int    // oReg, oFReg, oImm, oMem
 	reg  int    // oReg/oFReg register number
@@ -24,9 +49,9 @@ type copnd struct {
 
 // addr returns the operand's effective address, applying any deferred
 // register side effect (autoincrement). Callers evaluate it exactly
-// once per operand evaluation, and never after a fault has latched —
-// matching Step, where a latched error makes operand() side-effect
-// free.
+// once per operand evaluation, and never after an earlier operand has
+// faulted, so a faulting instruction runs no later operand's side
+// effect.
 func (o *copnd) addr(regs []uint32) uint32 {
 	if o.adr != nil {
 		return o.adr(regs)
@@ -34,10 +59,9 @@ func (o *copnd) addr(regs []uint32) uint32 {
 	return o.imm
 }
 
-// readOp reads size bytes through a compiled operand, with exactly
-// cursor.read's semantics: registers read low bytes, immediates yield
-// their value, memory may fault, and a float-register operand is the
-// SIGILL Step latches.
+// readOp reads size bytes through a compiled operand: registers read
+// low bytes, immediates yield their value, memory may fault, and a
+// float-register operand is SIGILL.
 func readOp(p arch.Proc, regs []uint32, o *copnd, size int, pc uint32) (uint32, *arch.Fault) {
 	switch o.kind {
 	case oReg:
@@ -58,9 +82,9 @@ func readOp(p arch.Proc, regs []uint32, o *copnd, size int, pc uint32) (uint32, 
 	}
 }
 
-// writeOp writes size bytes through a compiled operand (cursor.write's
-// semantics: register writes merge into the low bytes, writes to
-// immediates or float registers are SIGILL).
+// writeOp writes size bytes through a compiled operand: register
+// writes merge into the low bytes, and writes to immediates or float
+// registers are SIGILL.
 func writeOp(p arch.Proc, regs []uint32, o *copnd, size int, v uint32, pc uint32) *arch.Fault {
 	switch o.kind {
 	case oReg:
@@ -80,8 +104,8 @@ func writeOp(p arch.Proc, regs []uint32, o *copnd, size int, v uint32, pc uint32
 	}
 }
 
-// readFOp and writeFOp are the float counterparts (cursor.readF /
-// cursor.writeF).
+// readFOp and writeFOp are the float counterparts of readOp and
+// writeOp.
 func readFOp(p arch.Proc, regs []uint32, o *copnd, size int, pc uint32) (float64, *arch.Fault) {
 	switch o.kind {
 	case oFReg:
@@ -108,37 +132,9 @@ func writeFOp(p arch.Proc, regs []uint32, o *copnd, size int, v float64, pc uint
 	}
 }
 
-// push and pop are Step's stack closures hoisted onto the cursor so the
-// interpreter shares one definition (including leaving SP decremented
-// when the push's store faults).
-func (c *cursor) push(val uint32) {
-	if c.err != nil {
-		return
-	}
-	sp := c.p.Reg(SP) - 4
-	c.p.SetReg(SP, sp)
-	if f := c.p.Store(sp, 4, val); f != nil {
-		c.err = f
-	}
-}
-
-func (c *cursor) pop() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	sp := c.p.Reg(SP)
-	val, f := c.p.Load(sp, 4)
-	if f != nil {
-		c.err = f
-		return 0
-	}
-	c.p.SetReg(SP, sp+4)
-	return val
-}
-
 // dec walks the instruction bytes at decode time. ok goes false when
-// the instruction runs off the segment image (Step would fault or read
-// another segment there; the caller returns nil and falls back).
+// the instruction runs off the segment image or uses a reserved
+// addressing mode; Decode then returns nil.
 type dec struct {
 	code []byte
 	at   int
@@ -211,19 +207,18 @@ func (d *dec) spec() copnd {
 		}
 		return copnd{kind: oMem, adr: func(regs []uint32) uint32 { return regs[reg] + disp }}
 	default:
-		d.ok = false // Step raises SIGILL; fall back
+		d.ok = false // reserved addressing mode
 		return copnd{}
 	}
 }
 
-// Decode implements arch.Decoder. Opcode dispatch, operand-specifier
+// Decode implements arch.Arch. Opcode dispatch, operand-specifier
 // parsing, and addressing-mode dispatch all happen once here; the
-// handlers evaluate compiled operands in Step's operand order, latching
-// the first fault exactly as the interpreter's cursor does: a faulting
-// operand stops later operands from being evaluated (so their register
-// side effects never run), while the few instructions that act after an
-// error latches — tstl/cmpl/cmpd set their flags from zero values,
-// divl3 checks the divisor — reproduce that ordering explicitly.
+// handlers evaluate compiled operands in operand order and stop at the
+// first fault: a faulting operand stops later operands from being
+// evaluated (so their register side effects never run), while the few
+// instructions that act after a fault — tstl/cmpl/cmpd set their flags
+// from zero values, divl3 checks the divisor — order it explicitly.
 // Control-transfer instructions carry arch.InsnTerm for the superblock
 // builder; everything else is guaranteed to fall through to pc+Len.
 func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
@@ -324,7 +319,7 @@ func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 			case oMem:
 				target = o.addr(regs)
 			}
-			// A faulting push leaves SP decremented, as cursor.push does.
+			// A faulting push leaves SP decremented.
 			sp := regs[SP] - 4
 			regs[SP] = sp
 			if f := p.Store(sp, 4, pc+ln); f != nil {
@@ -341,7 +336,7 @@ func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 			case oMem:
 				return o.addr(regs), nil
 			}
-			return 0, nil // Step jumps to the zero addr an immediate carries
+			return 0, nil // an immediate operand jumps to address zero
 		})
 	case OpChmk:
 		o := d.spec()
@@ -413,7 +408,7 @@ func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		next := pc + length()
 		return mk(0, func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
 			// The flags are set even when the read faults (from the
-			// zero value), exactly as Step sequences it.
+			// zero value).
 			v, f := readOp(p, regs, &o, 4, pc)
 			*flag = compareFlags(v, 0)
 			if f != nil {
@@ -463,8 +458,8 @@ func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 					return 0, f
 				}
 			default:
-				// Step reads an immediate destination fine and latches
-				// SIGILL on the write.
+				// An immediate destination reads fine and is SIGILL on
+				// the write.
 				return 0, sigill(pc)
 			}
 			return next, nil
@@ -509,8 +504,7 @@ func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 				b, f = readOp(p, regs, &s2, 4, pc)
 			}
 			// The destination's side effects run before the divisor
-			// check, and the divide fault wins over a latched error —
-			// Step's exact ordering.
+			// check, and the divide fault wins over an operand fault.
 			var da uint32
 			if f == nil && s3.kind == oMem {
 				da = s3.addr(regs)

@@ -8,35 +8,34 @@ import (
 	"ldb/internal/workload"
 )
 
-// PredecodeMode selects how a session's simulator executes: straight
-// interpretation from memory, the per-instruction decode cache, or the
-// decode cache with superblock fusion on top. All three must transcribe
-// identically — fusion is a pure speed transform.
+// PredecodeMode selects how a session's simulator executes: decoding
+// every instruction afresh and discarding it, or from the decode cache
+// with superblock fusion on top. Both must transcribe identically —
+// caching and fusion are pure speed transforms.
 type PredecodeMode int
 
 const (
-	PredecodeOff   PredecodeMode = iota // interpret from memory
-	PredecodeInsn                       // decode cache, one instruction per dispatch
+	PredecodeOff   PredecodeMode = iota // decode, execute, and discard
 	PredecodeFused                      // decode cache + superblock fusion
 )
 
 // Axes are the differential dimensions every scenario is checked
 // across: the target ISAs (the mips big-endian variant rides along as
-// a fifth configuration), the three simulator execution modes, and the
+// a fifth configuration), the two simulator execution modes, and the
 // optimized versus plain wire protocol. A scenario passes only if all
-// len(Arches)×3×2 sessions produce byte-identical transcripts.
+// len(Arches)×2×2 sessions produce byte-identical transcripts.
 type Axes struct {
 	Arches    []string
 	Predecode []PredecodeMode
 	Wire      []bool // true = batching+caching transport
 }
 
-// DefaultAxes covers everything: 5 targets × 3 execution modes × wire
-// on/off = 30 sessions per scenario.
+// DefaultAxes covers everything: 5 targets × 2 execution modes × wire
+// on/off = 20 sessions per scenario.
 func DefaultAxes() Axes {
 	return Axes{
 		Arches:    []string{"mips", "mipsbe", "sparc", "m68k", "vax"},
-		Predecode: []PredecodeMode{PredecodeFused, PredecodeInsn, PredecodeOff},
+		Predecode: []PredecodeMode{PredecodeFused, PredecodeOff},
 		Wire:      []bool{true, false},
 	}
 }

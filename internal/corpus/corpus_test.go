@@ -66,7 +66,7 @@ func TestTranscriptsAddressFree(t *testing.T) {
 	g := NewGraph()
 	AddScenario(g, sc, Axes{Arches: []string{"vax"}, Predecode: []PredecodeMode{PredecodeFused}, Wire: []bool{true}})
 	var tr []byte
-	for _, n := range []string{"session:" + sc.Name + ":vax:p2:w1"} {
+	for _, n := range []string{"session:" + sc.Name + ":vax:p1:w1"} {
 		node := g.Add(&Node{Key: n})
 		if node.Run == nil {
 			t.Fatalf("session node %s not registered", n)

@@ -25,7 +25,7 @@ var sessionShare = machine.NewTextCache()
 // plus the program's own output and exit status. Transcripts are
 // deliberately address-free — stop positions are reported as
 // proc@stop-index, backtraces as procedure names — so the same program
-// must transcribe identically on every ISA, in all three simulator
+// must transcribe identically on every ISA, in both simulator
 // execution modes, over the plain and the optimized wire protocol.
 // That byte-equality is the corpus's differential oracle.
 //
@@ -42,7 +42,6 @@ func RunSession(prog *driver.Program, sc workload.Scenario, pd PredecodeMode, wi
 	// decode cache).
 	proc := machine.New(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
 	proc.NoPredecode = pd == PredecodeOff
-	proc.NoFuse = pd == PredecodeInsn
 	// Capture-only checkpointing: dirty tracking plus a paced COW
 	// snapshot, never restored. It must be invisible in every transcript
 	// — which makes the whole differential corpus a soak test for the

@@ -225,7 +225,6 @@ func FromCheckpoint(ck *Checkpoint) (*Process, error) {
 		Steps:    ck.Steps,
 		Sim:      ck.Sim,
 	}
-	p.dec, _ = a.(arch.Decoder)
 	p.be = a.Order() == binary.BigEndian //ldb:allow endian caches the arch's declared order for the hot load/store path, as New does
 	copy(p.regs, ck.Regs)
 	copy(p.fregs, ck.FRegs)

@@ -135,15 +135,15 @@ func TestFromCheckpointReconverges(t *testing.T) {
 }
 
 // TestCheckpointPacingModes pins that auto-checkpoints fire at the
-// configured interval in all three engines (fused, per-instruction,
-// uncached), and that disabling them restores the plain step limit.
+// configured interval in both engines (cached and uncached), and that
+// disabling them restores the plain step limit.
 func TestCheckpointPacingModes(t *testing.T) {
 	for _, mode := range []struct {
-		name                string
-		noPredecode, noFuse bool
-	}{{"fused", false, false}, {"perinsn", false, true}, {"uncached", true, false}} {
+		name        string
+		noPredecode bool
+	}{{"cached", false}, {"uncached", true}} {
 		p := ckLoopProcess(t, 30_000)
-		p.NoPredecode, p.NoFuse = mode.noPredecode, mode.noFuse
+		p.NoPredecode = mode.noPredecode
 		fired := 0
 		p.SetAutoCheckpoint(10_000, func() { fired++ })
 		if f := p.Run(); f == nil || f.Sig != arch.SigTrap {

@@ -105,21 +105,17 @@ type Process struct {
 	Steps int64
 	// Sim counts decode-cache activity (see predecode.go).
 	Sim SimStats
-	// NoPredecode forces the uncached fetch/decode/dispatch path even
-	// when the architecture implements arch.Decoder. Differential tests
-	// and the cached-vs-uncached benchmarks flip it.
+	// NoPredecode selects the uncached engine: each step decodes the
+	// instruction at pc, executes it, and discards the decoded form, with
+	// no decode cache and no superblocks. It runs the same Decode
+	// products as the cached engine, so differential tests use it as the
+	// reference for caching, invalidation, and fusion, and the
+	// cached-vs-uncached benchmarks as their denominator.
 	NoPredecode bool
-	// NoFuse keeps the decode cache but dispatches one instruction at a
-	// time instead of fusing straight-line runs into superblocks — the
-	// engine as it was before superblocks existed. The differential
-	// tests pin all three modes (uncached, per-instruction, fused)
-	// against each other.
-	NoFuse bool
 
-	dec      arch.Decoder // non-nil when A supports predecoding
-	be       bool         // big-endian target; avoids per-access Order() dispatch
-	lastSeg  *Segment     // memory fast path: last segment hit by seg()
-	lastText *Segment     // execution fast path: last segment fetched from
+	be       bool     // big-endian target; avoids per-access Order() dispatch
+	lastSeg  *Segment // memory fast path: last segment hit by seg()
+	lastText *Segment // execution fast path: last segment fetched from
 
 	// memBase/memData mirror lastSeg's window so the fused dispatch
 	// loop's memory micro-ops bounds-check against Process fields
@@ -155,7 +151,6 @@ func New(a arch.Arch, text, data []byte, entry uint32) *Process {
 		fregs: make([]float64, a.NumFRegs()),
 		pc:    entry,
 	}
-	p.dec, _ = a.(arch.Decoder)
 	p.be = a.Order() == binary.BigEndian //ldb:allow endian caches the arch's declared order for the hot load/store path
 	p.Segs = []*Segment{
 		{Name: "text", Base: TextBase, Data: append([]byte(nil), text...)},
@@ -402,55 +397,19 @@ var MaxSteps int64 = 200_000_000
 
 // Run executes until a signal arrives or the process exits. System
 // calls are serviced transparently. The returned fault is FaultHalt on
-// exit or FaultSignal for the nub.
+// exit or FaultSignal for the nub. The cached engine runs superblocks
+// through runFused and takes one checked step() wherever no block
+// forms or the step limit draws near; the uncached engine
+// (NoPredecode) runs every instruction through step().
 func (p *Process) Run() *arch.Fault {
 	if p.State == StateExited {
 		return &arch.Fault{Kind: arch.FaultHalt, PC: p.pc}
 	}
 	p.State = StateRunning
-	predecode := p.dec != nil && !p.NoPredecode
-	fuse := predecode && !p.NoFuse
 	for {
-		// The decode-cache hit case of step(), unrolled into a tight
-		// loop: per instruction, one bounds check, one cache load, and
-		// one indirect call. The decoded slice is re-read through the
-		// segment each iteration rather than hoisted: invalidation may
-		// privatize an adopted (copy-on-write) cache, swapping the
-		// backing array, and a hoisted slice would keep serving entries
-		// a self-modifying store just invalidated.
 		var f *arch.Fault
-		limit := p.ckLimit()
-		if fuse {
-			f = p.runFused(limit)
-		} else if predecode {
-			if s := p.lastText; s != nil && s.decoded != nil {
-				base, regs := s.Base, p.regs
-				steps := p.Steps
-				for {
-					off := p.pc - base
-					if off >= uint32(len(s.decoded)) {
-						break
-					}
-					d := &s.decoded[off]
-					if d.Exec == nil {
-						break
-					}
-					if steps >= limit {
-						// Limit reached: fall out so the outer loop fires a
-						// due checkpoint, or takes the last few instructions
-						// through step()'s per-step MaxSteps check.
-						break
-					}
-					steps++
-					var next uint32
-					next, f = d.Exec(p, regs, &p.flag, p.pc)
-					if f != nil {
-						break
-					}
-					p.pc = next
-				}
-				p.Steps = steps
-			}
+		if !p.NoPredecode {
+			f = p.runFused(p.ckLimit())
 		}
 		if f == nil {
 			if p.ckEvery > 0 && p.Steps >= p.ckNext {

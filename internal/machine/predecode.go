@@ -1,9 +1,8 @@
-// The decode cache: Process executes from predecoded instructions when
-// its architecture implements arch.Decoder. Each segment lazily grows a
-// slice of decoded entries indexed by byte offset (variable-length
-// instructions key naturally; fixed-width ISAs simply leave the
-// intermediate offsets nil), filled on first execution and consulted on
-// every subsequent one. Any write into a segment that has been executed
+// The decode cache: Process executes only what its architecture's
+// Decode returns. Each segment lazily grows a slice of decoded entries
+// indexed by byte offset (variable-length instructions key naturally;
+// fixed-width ISAs simply leave the intermediate offsets nil), filled
+// on first execution and consulted on every subsequent one. Any write into a segment that has been executed
 // from — a data store, a planted breakpoint, a trap restoration —
 // invalidates the entries the written bytes could cover, so the next
 // execution at those addresses re-decodes what is actually in memory.
@@ -23,13 +22,13 @@ const maxInsnBytes = 16
 
 // SimStats counts decode-cache activity. Steps (on Process) counts
 // executed instructions; here Hits is how many executed from a cached
-// entry, Decodes how many had to be decoded first, Fallbacks how many
-// went through the uncached Step path (no decoder, predecode disabled,
-// or bytes that do not decode), and Invalidations how many cached
-// entries text writes destroyed. Hits is not counted on the hot path:
-// every executed instruction is exactly one of a hit, a decode, or a
-// fallback, so SimStats derives it from Steps. Read stats through
-// Process.SimStats, which fills it in.
+// entry, Decodes how many had to be decoded into the cache first,
+// Fallbacks how many bypassed the cache (every uncached step, plus
+// each pc that is unmapped or does not decode), and Invalidations how
+// many cached entries text writes destroyed. Hits is not counted on
+// the hot path: every executed instruction is exactly one of a hit, a
+// decode, or a fallback, so SimStats derives it from Steps. Read stats
+// through Process.SimStats, which fills it in.
 type SimStats struct {
 	Hits          int64
 	Decodes       int64
@@ -37,20 +36,20 @@ type SimStats struct {
 	Fallbacks     int64
 	// Blocks counts superblocks formed and BlockInsns the instructions
 	// fused into them, so BlockInsns/Blocks is the mean fused-run
-	// length. Both stay zero with fusion off; neither changes the
-	// meaning of the per-instruction counters above — a fused block
-	// retiring N instructions still advances Steps by N, so Hits and
-	// HitRate remain comparable across engines.
+	// length. Both stay zero uncached; neither changes the meaning of
+	// the per-instruction counters above — a fused block retiring N
+	// instructions still advances Steps by N, so Hits and HitRate remain
+	// comparable across engines.
 	Blocks     int64
 	BlockInsns int64
 }
 
 // SimStats returns the decode-cache counters with the derived Hits
-// filled in. With predecoding off every step is a fallback, whether or
-// not the slow path bothered to count it.
+// filled in. Uncached, every step is a fallback, whether or not the
+// slow path bothered to count it.
 func (p *Process) SimStats() SimStats {
 	s := p.Sim
-	if p.dec != nil && !p.NoPredecode {
+	if !p.NoPredecode {
 		s.Hits = p.Steps - s.Decodes - s.Fallbacks
 	} else {
 		s.Hits, s.Fallbacks = 0, p.Steps
@@ -68,46 +67,28 @@ func (s SimStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// step executes one instruction, through the decode cache when the
-// architecture supports it. It has exactly Step's contract.
+// step executes the one instruction at pc: from its decode-cache
+// entry, decoding it into the cache first if need be, or with
+// NoPredecode by decoding it afresh and discarding the decoded form.
+// An unmapped pc raises SIGSEGV and bytes that do not decode raise
+// SIGILL; both count as fallbacks.
 func (p *Process) step() *arch.Fault {
-	if p.dec == nil || p.NoPredecode {
-		return p.A.Step(p)
-	}
 	pc := p.pc
-	s := p.lastText
-	if s == nil || pc-s.Base >= uint32(len(s.Data)) {
-		s = nil
-		for _, t := range p.Segs {
-			if pc-t.Base < uint32(len(t.Data)) {
-				s = t
-				break
-			}
-		}
-		if s == nil {
-			// Unmapped pc: let Step raise the fault it always raised.
-			p.Sim.Fallbacks++
-			return p.A.Step(p)
-		}
-		p.lastText = s
+	s := p.textSeg(pc)
+	if s == nil {
+		p.Sim.Fallbacks++
+		return &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigSegv, Addr: pc, PC: pc}
 	}
 	off := pc - s.Base
-	if s.decoded == nil {
-		s.decoded = make([]arch.DecodedInsn, len(s.Data))
+	var d *arch.DecodedInsn
+	if p.NoPredecode {
+		d = p.A.Decode(s.Data, int(off), pc)
+	} else {
+		d = p.cached(s, off, pc)
 	}
-	d := &s.decoded[off]
-	if d.Exec == nil {
-		dn := p.dec.Decode(s.Data, int(off), pc)
-		if dn == nil {
-			p.Sim.Fallbacks++
-			return p.A.Step(p)
-		}
-		if s.ro {
-			s.privatize()
-			d = &s.decoded[off]
-		}
-		*d = *dn
-		p.Sim.Decodes++
+	if d == nil {
+		p.Sim.Fallbacks++
+		return &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigIll, PC: pc}
 	}
 	next, f := d.Exec(p, p.regs, &p.flag, pc)
 	if f != nil {
@@ -115,6 +96,45 @@ func (p *Process) step() *arch.Fault {
 	}
 	p.pc = next
 	return nil
+}
+
+// textSeg finds the segment holding pc, or nil when pc is unmapped, and
+// remembers it for the next lookup.
+func (p *Process) textSeg(pc uint32) *Segment {
+	if s := p.lastText; s != nil && pc-s.Base < uint32(len(s.Data)) {
+		return s
+	}
+	for _, s := range p.Segs {
+		if pc-s.Base < uint32(len(s.Data)) {
+			p.lastText = s
+			return s
+		}
+	}
+	return nil
+}
+
+// cached returns the decode-cache entry for the instruction at off,
+// decoding it into the cache on a miss, or nil when the bytes there do
+// not decode.
+func (p *Process) cached(s *Segment, off, pc uint32) *arch.DecodedInsn {
+	if s.decoded == nil {
+		s.decoded = make([]arch.DecodedInsn, len(s.Data))
+	}
+	d := &s.decoded[off]
+	if d.Exec != nil {
+		return d
+	}
+	dn := p.A.Decode(s.Data, int(off), pc)
+	if dn == nil {
+		return nil
+	}
+	if s.ro {
+		s.privatize()
+		d = &s.decoded[off]
+	}
+	*d = *dn
+	p.Sim.Decodes++
+	return d
 }
 
 // invalidate clears every cached entry that the write of n bytes at

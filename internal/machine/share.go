@@ -54,12 +54,8 @@ func NewTextCache() *TextCache {
 	return &TextCache{m: make(map[arch.TextKey]*SharedText)}
 }
 
-// text finds p's text segment, or nil when p has none or cannot
-// predecode (nothing to share either way).
+// shareText finds p's text segment, or nil when p has none.
 func shareText(p *Process) *Segment {
-	if p.dec == nil {
-		return nil
-	}
 	for _, s := range p.Segs {
 		if s.Name == "text" {
 			return s

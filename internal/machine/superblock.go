@@ -1,6 +1,6 @@
 // Superblock execution: Run fuses straight-line runs of decoded
 // instructions into compiled blocks and dispatches block-at-a-time, so
-// the per-instruction costs of the decode-cache hit loop — the offset
+// the per-instruction costs of cached dispatch — the offset
 // computation, bounds check, slot load, nil check, and pc store — are
 // paid once per block instead of once per step. A block runs from its
 // entry point to the first instruction whose decoder marked it
@@ -19,7 +19,7 @@
 // switch — no indirect call, no closure environment — and everything
 // else escapes to the instruction's Exec closure. Formation and
 // dispatch are machine-independent: they consume only the Len, Flags,
-// and Uop metadata each arch.Decoder attaches to its entries, keeping
+// and Uop metadata each Arch's Decode attaches to its entries, keeping
 // the fusion on the machine-independent side of the paper's
 // retargeting seam.
 package machine
@@ -82,26 +82,16 @@ type sblock struct {
 
 // buildBlock fuses the straight-line run starting at off/pc. It reuses
 // decoded entries already in the segment cache and decodes the rest
-// (counting them, so hit-rate accounting matches the per-instruction
-// engine); the run ends at the first terminator, the first undecodable
-// instruction, the end of the segment, or maxBlockInsns. A nil return
-// means the entry instruction itself does not decode and the caller
-// must fall back to Step.
+// into it (counting them, so hit-rate accounting matches step()); the
+// run ends at the first terminator, the first undecodable instruction,
+// the end of the segment, or maxBlockInsns. A nil return means the
+// entry instruction itself does not decode, and step() raises SIGILL.
 func (p *Process) buildBlock(s *Segment, off, pc uint32) *sblock {
 	var b sblock
 	for len(b.ops) < maxBlockInsns {
-		d := &s.decoded[off]
-		if d.Exec == nil {
-			dn := p.dec.Decode(s.Data, int(off), pc)
-			if dn == nil {
-				break
-			}
-			if s.ro {
-				s.privatize()
-				d = &s.decoded[off]
-			}
-			*d = *dn
-			p.Sim.Decodes++
+		d := p.cached(s, off, pc)
+		if d == nil {
+			break
 		}
 		u := fusedOp{off: uint16(b.nbytes)}
 		if d.Uop != arch.UopNone && (d.Len == 4 || d.Uop.Pure()) {
@@ -132,25 +122,11 @@ func (p *Process) buildBlock(s *Segment, off, pc uint32) *sblock {
 // step() fallback take over at the committed pc, one checked
 // instruction at a time). limit is MaxSteps, possibly tightened to the
 // next auto-checkpoint boundary — pacing costs the fast path nothing.
-
 func (p *Process) runFused(limit int64) *arch.Fault {
 	pc := p.pc
-	s := p.lastText
-	if s == nil || pc-s.Base >= uint32(len(s.Data)) {
-		s = nil
-		for _, t := range p.Segs {
-			if pc-t.Base < uint32(len(t.Data)) {
-				s = t
-				break
-			}
-		}
-		if s == nil {
-			return nil // unmapped pc: step() raises the fault Step always raised
-		}
-		p.lastText = s
-	}
-	if s.decoded == nil {
-		s.decoded = make([]arch.DecodedInsn, len(s.Data))
+	s := p.textSeg(pc)
+	if s == nil {
+		return nil // unmapped pc: step() raises SIGSEGV
 	}
 	if s.sblocks == nil {
 		s.sblocks = make([]*sblock, len(s.Data))
@@ -174,7 +150,7 @@ func (p *Process) runFused(limit int64) *arch.Fault {
 			if b == nil {
 				b = p.buildBlock(s, off, pc)
 				if b == nil {
-					break // entry does not decode: step() falls back
+					break // entry does not decode: step() raises SIGILL
 				}
 				s.sblocks[off] = b
 				p.Sim.Blocks++
@@ -501,14 +477,13 @@ func (p *Process) runFused(limit int64) *arch.Fault {
 		prev = nil
 		continue
 	fault:
-		// Steps counts the faulting instruction, exactly as the
-		// per-instruction loop does. The Proc-visible pc is not stored
-		// per instruction in fused mode, so signal faults minted from
-		// it inside Load/Store carry a stale address — restamp them
-		// with the faulting instruction's own pc, which is what
-		// per-instruction execution would have recorded. The committed
-		// pc is that address too, unless the handler advanced it itself
-		// (syscalls SetPC before trapping, as Step does).
+		// Steps counts the faulting instruction, exactly as step()
+		// does. The Proc-visible pc is not stored per instruction in
+		// fused mode, so signal faults minted from it inside Load/Store
+		// carry a stale address — restamp them with the faulting
+		// instruction's own pc, which is what step() would have
+		// recorded. The committed pc is that address too, unless the
+		// handler advanced it itself (syscalls SetPC before trapping).
 		p.Steps = steps + int64(i) + 1
 		if f.Kind != arch.FaultSyscall {
 			fpc := bpc + uint32(ops[i].off)

@@ -10,7 +10,7 @@ import (
 // The superblock regression suite. Fusion must be invisible except in
 // speed: planting a breakpoint in the middle of a built block, a block
 // storing over its own tail, and single-stepping through hot fused
-// text must all behave exactly as per-instruction execution does.
+// text must all behave exactly as uncached execution does.
 
 // breakWord assembles the mips break instruction with the given code
 // and returns its word, for tests that store trap instructions over
@@ -143,9 +143,9 @@ func TestSuperblockSelfModifyingStore(t *testing.T) {
 
 // TestSuperblockStatsAccounting pins the counter contract: a fused
 // block retiring N instructions advances Steps by N, so Hits + Decodes
-// + Fallbacks == Steps exactly as in per-instruction mode, and the
-// fusion counters describe formation without disturbing hit-rate
-// arithmetic.
+// + Fallbacks == Steps, and the fusion counters describe formation
+// without disturbing hit-rate arithmetic. Uncached, every step is a
+// fallback.
 func TestSuperblockStatsAccounting(t *testing.T) {
 	m := mips.Little
 	as := mips.NewAsm(m)
@@ -158,34 +158,27 @@ func TestSuperblockStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(noFuse bool) *Process {
+	run := func(noPredecode bool) *Process {
 		p := New(m, code, nil, TextBase)
-		p.NoFuse = noFuse
+		p.NoPredecode = noPredecode
 		if f := p.Run(); f == nil || f.Sig != arch.SigTrap || f.Code != 3 {
-			t.Fatalf("noFuse=%v: %+v", noFuse, f)
+			t.Fatalf("noPredecode=%v: %+v", noPredecode, f)
 		}
 		return p
 	}
-	pf, pi := run(false), run(true)
+	pf, pu := run(false), run(true)
 	const wantSteps = 1 + 2*50 + 1 // li, 50 loop iterations, break
-	if pf.Steps != wantSteps || pi.Steps != wantSteps {
-		t.Fatalf("fused ran %d steps, per-insn %d, want %d", pf.Steps, pi.Steps, wantSteps)
+	if pf.Steps != wantSteps || pu.Steps != wantSteps {
+		t.Fatalf("fused ran %d steps, uncached %d, want %d", pf.Steps, pu.Steps, wantSteps)
 	}
-	sf, si := pf.SimStats(), pi.SimStats()
-	if sf.Hits+sf.Decodes+sf.Fallbacks != pf.Steps {
-		t.Fatalf("fused counters do not partition steps: %+v (steps %d)", sf, pf.Steps)
+	// Each of the four instructions decodes once. The entry run (li,
+	// addiu, bne), the loop body (addiu, bne), and the break form three
+	// blocks of six fused instructions.
+	if got, want := pf.SimStats(), (SimStats{Hits: wantSteps - 4, Decodes: 4, Blocks: 3, BlockInsns: 6}); got != want {
+		t.Fatalf("fused counters %+v, want %+v", got, want)
 	}
-	if sf.Hits != si.Hits || sf.Decodes != si.Decodes || sf.Fallbacks != si.Fallbacks {
-		t.Fatalf("fused counters %+v, per-insn %+v", sf, si)
-	}
-	if sf.HitRate() != si.HitRate() {
-		t.Fatalf("fused hit rate %v, per-insn %v", sf.HitRate(), si.HitRate())
-	}
-	if sf.Blocks == 0 || sf.BlockInsns < sf.Blocks {
-		t.Fatalf("fusion counters: %d blocks, %d fused instructions", sf.Blocks, sf.BlockInsns)
-	}
-	if si.Blocks != 0 || si.BlockInsns != 0 {
-		t.Fatalf("per-insn run reports fusion counters: %+v", si)
+	if got, want := pu.SimStats(), (SimStats{Fallbacks: wantSteps}); got != want {
+		t.Fatalf("uncached counters %+v, want %+v", got, want)
 	}
 }
 

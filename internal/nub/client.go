@@ -457,11 +457,14 @@ func (c *Client) readEvent() (*Event, error) {
 // delivered reports whether the request was fully written — if so, the
 // nub may have executed it even when the reply was lost.
 func (c *Client) exchange(req *Msg, want MsgKind) (rep *Msg, delivered bool, err error) {
-	if err := c.writeWire(req); err != nil {
-		return nil, false, err
-	}
+	// The gate closes before the write: the nub may read, run and
+	// answer a delivered request before writeWire returns.
 	if !reqIdempotent(req) {
 		c.replayable.Store(false)
+	}
+	if err := c.writeWire(req); err != nil {
+		c.replayable.Store(true)
+		return nil, false, err
 	}
 	rep, err = c.readWire()
 	c.replayable.Store(true)
@@ -909,9 +912,9 @@ func (c *Client) StepInst() (*Event, error) {
 func (c *Client) resume(kind MsgKind) (*Event, error) {
 	c.InvalidateCache()
 	for replay := 0; ; replay++ {
+		c.replayable.Store(false) // closed before the write, as in exchange
 		err := c.writeWire(&Msg{Kind: kind})
 		if err == nil {
-			c.replayable.Store(false)
 			ev, rerr := c.readEvent()
 			c.replayable.Store(true)
 			if rerr == nil {
@@ -937,6 +940,7 @@ func (c *Client) resume(kind MsgKind) (*Event, error) {
 			}
 			return nil, fmt.Errorf("%w awaiting the %v event; session reconnected at the nub's latched event", ErrConnLost, kind)
 		}
+		c.replayable.Store(true)
 		if !errors.Is(err, ErrConnLost) {
 			return nil, err
 		}

@@ -78,9 +78,9 @@ func TestUnknownRequestKindsRejected(t *testing.T) {
 	n, cli, stop := rawServe(t, -1)
 	defer stop()
 	bad := []*Msg{
-		{Kind: MsgKind(200)},                                // unassigned kind byte
-		{Kind: MWelcome},                                    // a reply kind as a request
-		{Kind: MValue, Val: 7},                              // another reply kind
+		{Kind: MsgKind(200)},   // unassigned kind byte
+		{Kind: MWelcome},       // a reply kind as a request
+		{Kind: MValue, Val: 7}, // another reply kind
 		{Kind: MFetchInt, Space: 'z', Addr: 0x1000, Size: 4}, // bogus space
 	}
 	for _, m := range bad {

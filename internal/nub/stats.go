@@ -10,20 +10,20 @@ import (
 // goroutine, the client, and anyone printing them race-freely; a Stats
 // must not be copied once in use.
 type Stats struct {
-	RoundTrips    atomic.Int64 // request/reply exchanges on the wire
-	MsgsSent      atomic.Int64 // messages written (envelopes count once)
-	MsgsReceived  atomic.Int64 // messages read (envelopes count once)
-	BytesSent     atomic.Int64
-	BytesReceived atomic.Int64
-	Batches       atomic.Int64 // MBatch envelopes exchanged
-	BatchedMsgs   atomic.Int64 // member messages carried inside envelopes
-	CacheHits     atomic.Int64 // fetches served from the client cache
-	CacheMisses   atomic.Int64 // fetches that had to go to the wire
-	Invalidations atomic.Int64 // whole-cache flushes (one per continue)
-	Timeouts      atomic.Int64 // requests killed by the wire deadline
-	Reconnects    atomic.Int64 // successful redial + re-attach cycles
+	RoundTrips     atomic.Int64 // request/reply exchanges on the wire
+	MsgsSent       atomic.Int64 // messages written (envelopes count once)
+	MsgsReceived   atomic.Int64 // messages read (envelopes count once)
+	BytesSent      atomic.Int64
+	BytesReceived  atomic.Int64
+	Batches        atomic.Int64 // MBatch envelopes exchanged
+	BatchedMsgs    atomic.Int64 // member messages carried inside envelopes
+	CacheHits      atomic.Int64 // fetches served from the client cache
+	CacheMisses    atomic.Int64 // fetches that had to go to the wire
+	Invalidations  atomic.Int64 // whole-cache flushes (one per continue)
+	Timeouts       atomic.Int64 // requests killed by the wire deadline
+	Reconnects     atomic.Int64 // successful redial + re-attach cycles
 	ReconnectFails atomic.Int64 // reconnect cycles that gave up
-	Replays       atomic.Int64 // requests transparently re-sent after a reconnect
+	Replays        atomic.Int64 // requests transparently re-sent after a reconnect
 
 	// Server-side robustness counters: the nub increments these while
 	// surviving hostile or broken input, and serves them over the wire
@@ -38,16 +38,16 @@ type Stats struct {
 // StatsSnapshot is a plain-value copy of the counters, safe to compare
 // and print.
 type StatsSnapshot struct {
-	RoundTrips    int64
-	MsgsSent      int64
-	MsgsReceived  int64
-	BytesSent     int64
-	BytesReceived int64
-	Batches       int64
-	BatchedMsgs   int64
-	CacheHits     int64
-	CacheMisses   int64
-	Invalidations int64
+	RoundTrips     int64
+	MsgsSent       int64
+	MsgsReceived   int64
+	BytesSent      int64
+	BytesReceived  int64
+	Batches        int64
+	BatchedMsgs    int64
+	CacheHits      int64
+	CacheMisses    int64
+	Invalidations  int64
 	Timeouts       int64
 	Reconnects     int64
 	ReconnectFails int64
@@ -64,16 +64,16 @@ type StatsSnapshot struct {
 // consistent cut — these are diagnostics, not accounting).
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		RoundTrips:    s.RoundTrips.Load(),
-		MsgsSent:      s.MsgsSent.Load(),
-		MsgsReceived:  s.MsgsReceived.Load(),
-		BytesSent:     s.BytesSent.Load(),
-		BytesReceived: s.BytesReceived.Load(),
-		Batches:       s.Batches.Load(),
-		BatchedMsgs:   s.BatchedMsgs.Load(),
-		CacheHits:     s.CacheHits.Load(),
-		CacheMisses:   s.CacheMisses.Load(),
-		Invalidations: s.Invalidations.Load(),
+		RoundTrips:     s.RoundTrips.Load(),
+		MsgsSent:       s.MsgsSent.Load(),
+		MsgsReceived:   s.MsgsReceived.Load(),
+		BytesSent:      s.BytesSent.Load(),
+		BytesReceived:  s.BytesReceived.Load(),
+		Batches:        s.Batches.Load(),
+		BatchedMsgs:    s.BatchedMsgs.Load(),
+		CacheHits:      s.CacheHits.Load(),
+		CacheMisses:    s.CacheMisses.Load(),
+		Invalidations:  s.Invalidations.Load(),
 		Timeouts:       s.Timeouts.Load(),
 		Reconnects:     s.Reconnects.Load(),
 		ReconnectFails: s.ReconnectFails.Load(),

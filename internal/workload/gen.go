@@ -405,7 +405,7 @@ func (g *pgen) stmt(loopVars *int) {
 				fmt.Fprintf(g.b, "%sif ((%s) & 1) { op = alt0; } else { op = alt1; }\n", in, g.expr(1))
 			} else {
 				oargs := g.argList(2, 1)
-			fmt.Fprintf(g.b, "%s%s = op(%s, %s) & %s;\n", in, g.lvalue(), oargs[0], oargs[1], valMask)
+				fmt.Fprintf(g.b, "%s%s = op(%s, %s) & %s;\n", in, g.lvalue(), oargs[0], oargs[1], valMask)
 			}
 			return
 		}
