@@ -213,43 +213,44 @@ const (
 
 // DecodedInsn is one predecoded instruction: the bit fields are
 // extracted, immediates sign-extended, and branch targets computed once
-// at decode time, so executing the instruction again costs one indirect
-// call instead of a fetch/decode pass. Len is the instruction's size in
-// bytes — variable on the 68020 and VAX — which the decode cache uses
-// to invalidate entries covered by a text write.
+// at decode time, so executing the instruction again costs no
+// fetch/decode pass. Each instruction states its semantics exactly once:
+// as a machine-independent micro-op (Uop) when one exists, otherwise as
+// an Exec closure — never both. Len is the instruction's size in bytes
+// — variable on the 68020 and VAX — which the decode cache uses to
+// invalidate entries covered by a text write; it is never zero, so a
+// zero Len marks an empty cache slot.
 type DecodedInsn struct {
 	// Exec executes the instruction against the current processor
 	// state. pc is the instruction's own address (the cache guarantees
 	// an entry only ever executes at the pc it was decoded for) and
 	// regs and flag are the backing general-register file and condition
 	// flags — the same storage Proc.Reg, Proc.SetReg, Proc.Flag, and
-	// Proc.SetFlag expose, passed directly so the hot arithmetic and
-	// compare/branch handlers skip the interface dispatch. On success Exec
-	// returns the next pc and nil, and the caller commits the pc; on a
-	// fault it returns the fault and the caller leaves the pc alone
-	// (handlers that must advance it first, like syscalls, call
-	// p.SetPC themselves).
+	// Proc.SetFlag expose, passed directly so the handlers skip the
+	// interface dispatch. On success Exec returns the next pc and nil,
+	// and the caller commits the pc; on a fault it returns the fault and
+	// the caller leaves the pc alone (handlers that must advance it
+	// first, like syscalls, call p.SetPC themselves). Nil when Uop is
+	// set.
 	Exec func(p Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *Fault)
 	Len  uint32
 	// Flags carries the control-flow metadata the superblock builder
 	// consumes; a zero value means "always falls through to pc+Len".
 	Flags InsnFlags
-	// Uop, when not UopNone, is a machine-independent micro-op
-	// equivalent of Exec that the superblock engine executes inline in
-	// its dispatch loop, skipping the indirect call entirely. Exec is
-	// always present and always agrees with the micro-op — uncached
-	// execution and single-stepping ignore Uop. Micro-ops are only
-	// attached to 4-byte fixed-width instructions (the dispatch loop
-	// advances the pc by 4); variable-length back ends keep closures.
+	// Uop, when not UopNone, is the instruction's machine-independent
+	// micro-op, which the simulator's one executor runs — in fused
+	// superblocks and single steps alike — with no indirect call.
+	// Instructions without one (floats, divides, traps, and the like)
+	// carry Exec instead.
 	Uop        Uop
 	UD, US, UT uint8
 	UImm       uint32
 }
 
 // Uop enumerates the machine-independent micro-ops: register-file
-// arithmetic, NZC compares, and sized memory accesses, the operations
-// every fixed-width back end shares once decode has resolved registers
-// and immediates. The destination UD, sources US/UT, and immediate UImm
+// arithmetic, NZC compares, sized memory accesses, and control
+// transfers, the operations the back ends share once decode has
+// resolved registers and immediates. The destination UD, sources US/UT, and immediate UImm
 // are pre-extracted; immediates arrive already sign- or zero-extended
 // and shift counts pre-masked, so the executor applies the operation
 // verbatim. Register 0 may appear as an unused source only when the
@@ -259,7 +260,7 @@ type DecodedInsn struct {
 type Uop uint8
 
 const (
-	UopNone   Uop = iota // no micro-op: execute through Exec
+	UopNone   Uop = iota // no micro-op: the instruction carries Exec
 	UopNop               // retires with no architectural effect (discarded destination)
 	UopConst             // UD = UImm
 	UopAddI              // UD = US + UImm
@@ -295,42 +296,31 @@ const (
 	UopSt16              // mem16[US + UT + UImm] = UD (low half)
 	UopSt8               // mem8[US + UT + UImm] = UD (low byte)
 
-	// Terminator micro-ops: control transfers compiled inline. A decoder
-	// attaches one only to an instruction it also marks InsnTerm, so a
-	// fused run ends with it; instead of falling through, the op computes
-	// the successor pc (branches not taken fall through to pc+4 — these
-	// are only attached to 4-byte instructions). In the link forms UT is
-	// the byte offset of the return address past the instruction itself:
-	// 4 on MIPS (jal links pc+4), 0 on SPARC (call links its own
-	// address). Terminators sit at the end of the enum so Term can test
-	// membership by ordering.
+	// Terminator micro-ops: control transfers compiled inline. TermUop
+	// marks the instruction InsnTerm, so a fused run ends with it;
+	// instead of falling through, the op computes the successor pc
+	// (branches not taken fall through to pc+Len). In the link forms UT
+	// is the byte offset of the return address past the instruction's
+	// own address: 4 on MIPS (jal links pc+4), 0 on SPARC (call links its
+	// own address). Terminators sit at the end of the enum so Term can
+	// test membership by ordering.
 	UopJmp     // next = UImm
 	UopJmpL    // UD = pc + UT (link offset); next = UImm
 	UopJmpInd  // next = US + UT + UImm (register values; UT a register)
 	UopJmpIndL // t := US + UImm; UD = pc + UT (link offset); next = t
-	UopBeq     // next = UImm if US == UT else pc+4
-	UopBne     // next = UImm if US != UT else pc+4
-	UopBlt     // next = UImm if int32(US) < int32(UT) else pc+4
-	UopBge     // next = UImm if int32(US) >= int32(UT) else pc+4
-	UopBle     // next = UImm if int32(US) <= int32(UT) else pc+4
-	UopBgt     // next = UImm if int32(US) > int32(UT) else pc+4
-	UopBcc     // next = UImm if UD>>(flags&7)&1 != 0 else pc+4 (truth table over NZC)
+	UopBeq     // next = UImm if US == UT else pc+Len
+	UopBne     // next = UImm if US != UT else pc+Len
+	UopBlt     // next = UImm if int32(US) < int32(UT) else pc+Len
+	UopBge     // next = UImm if int32(US) >= int32(UT) else pc+Len
+	UopBle     // next = UImm if int32(US) <= int32(UT) else pc+Len
+	UopBgt     // next = UImm if int32(US) > int32(UT) else pc+Len
+	UopBcc     // next = UImm if UD>>(flags&7)&1 != 0 else pc+Len (truth table over NZC)
 )
 
 // Term reports whether u is a terminator micro-op: one that computes
 // the successor pc rather than falling through.
 func (u Uop) Term() bool {
 	return u >= UopJmp
-}
-
-// Pure reports whether u is a pure register/flag micro-op: no memory
-// access, no control transfer, and no way to fault. Pure ops never
-// abort a fused block mid-run and never read the pc, so the superblock
-// builder may fuse them regardless of the instruction's byte length
-// (the 4-byte restriction exists only for ops that can abort or branch,
-// where the engine reconstructs per-instruction pcs from fixed widths).
-func (u Uop) Pure() bool {
-	return u > UopNone && u < UopLd32
 }
 
 // SubFlags computes the generic NZC condition flags for the comparison
@@ -371,24 +361,23 @@ func (d *DecodedInsn) FlagUop(op Uop, rs, rt int, imm uint32) *DecodedInsn {
 	return d
 }
 
-// TermUop attaches a terminator micro-op. Field meanings are per-op
-// (see the Uop constants); the caller passes only the fields its op
-// reads and zeros for the rest — there is no discarded-destination
-// suppression here, because the jump itself must still happen, so call
-// sites with a discarded link register pick the link-free op instead.
+// TermUop attaches a terminator micro-op and marks the instruction
+// InsnTerm. Field meanings are per-op (see the Uop constants); the
+// caller passes only the fields its op reads and zeros for the rest —
+// there is no discarded-destination suppression here, because the jump
+// itself must still happen, so call sites with a discarded link
+// register pick the link-free op instead.
 func (d *DecodedInsn) TermUop(op Uop, rd, rs, rt int, imm uint32) *DecodedInsn {
 	d.Uop, d.UD, d.US, d.UT, d.UImm = op, uint8(rd), uint8(rs), uint8(rt), imm
+	d.Flags |= InsnTerm
 	return d
 }
 
-// MemUop attaches a load or store micro-op. A load with a discarded
-// destination keeps its closure (the access must still fault exactly as
-// it always did), so rd < 0 leaves the entry Exec-only. For stores rd
-// names the value register, which is never discarded.
+// MemUop attaches a load or store micro-op. rd is a real register: the
+// loaded value's destination, or for stores the value register. A load
+// whose destination is discarded has no micro-op — the access must
+// still fault — so back ends state that case as an Exec closure.
 func (d *DecodedInsn) MemUop(op Uop, rd, rs, rt int, imm uint32) *DecodedInsn {
-	if rd < 0 {
-		return d
-	}
 	d.Uop, d.UD, d.US, d.UT, d.UImm = op, uint8(rd), uint8(rs), uint8(rt), imm
 	return d
 }

@@ -74,9 +74,12 @@ func pop(p arch.Proc) (uint32, *arch.Fault) {
 // word plus zero, one, or two extension words; the extensions are read
 // from the segment image here, so Len records the true byte length and
 // the handlers never re-fetch them. Register fields are 4 bits and the
-// register file is 16 long, so the handlers index regs directly. Words
-// that do not decode, at an odd offset, or whose extensions run off the
-// segment return nil, which the simulator reports as SIGILL.
+// register file is 16 long, so the handlers index regs directly.
+// Moves, register arithmetic, compares, and Bcc predecode to
+// micro-ops; stack operations, displacement loads and stores, divides,
+// traps, and floats to closures. Words that do not decode, at an odd
+// offset, or whose extensions run off the segment return nil, which
+// the simulator reports as SIGILL.
 func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	if off < 0 || off+2 > len(code) || off&1 != 0 {
 		return nil
@@ -106,12 +109,15 @@ func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	raw := func(n uint32, x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
 		return &arch.DecodedInsn{Len: n, Exec: x}
 	}
-	// rawT marks control-transfer and trapping instructions (trap, rts,
-	// jsr, Bcc) that may not fall through to pc+Len; superblock
-	// formation ends a fused run at the first one.
+	// rawT marks control-transfer and trapping closures (trap, rts,
+	// jsr) that may not fall through to pc+Len; superblock formation
+	// ends a fused run at the first one.
 	rawT := func(n uint32, x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
 		return &arch.DecodedInsn{Len: n, Exec: x, Flags: arch.InsnTerm}
 	}
+	// u starts an n-byte instruction that states its semantics as a
+	// micro-op.
+	u := func(n uint32) *arch.DecodedInsn { return &arch.DecodedInsn{Len: n} }
 
 	minor := int(w >> 8 & 15)
 	rx := int(w >> 4 & 15)
@@ -121,31 +127,25 @@ func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	case 1: // moves
 		switch minor {
 		case MvReg:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] = regs[ry] }).
-				AluUop(arch.UopAddI, rx, ry, 0, 0)
+			return u(2).AluUop(arch.UopAddI, rx, ry, 0, 0)
 		case MvImm, MvLea:
 			v, ok := ext32()
 			if !ok {
 				return nil
 			}
-			return done(6, func(p arch.Proc, regs []uint32) { regs[rx] = v }).
-				AluUop(arch.UopConst, rx, 0, 0, v)
+			return u(6).AluUop(arch.UopConst, rx, 0, 0, v)
 		case MvQ:
 			d, ok := ext16()
 			if !ok {
 				return nil
 			}
-			v := uint32(int32(d))
-			return done(4, func(p arch.Proc, regs []uint32) { regs[rx] = v }).
-				AluUop(arch.UopConst, rx, 0, 0, v)
+			return u(4).AluUop(arch.UopConst, rx, 0, 0, uint32(int32(d)))
 		case MvLeaD:
 			d, ok := ext16()
 			if !ok {
 				return nil
 			}
-			disp := uint32(int32(d))
-			return done(4, func(p arch.Proc, regs []uint32) { regs[rx] = regs[ry] + disp }).
-				AluUop(arch.UopAddI, rx, ry, 0, disp)
+			return u(4).AluUop(arch.UopAddI, rx, ry, 0, uint32(int32(d)))
 		case MvPush:
 			return raw(2, func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
 				if f := push(p, regs[rx]); f != nil {
@@ -220,17 +220,13 @@ func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	case 2: // arithmetic
 		switch minor {
 		case ArAdd:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] += regs[ry] }).
-				AluUop(arch.UopAdd, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopAdd, rx, rx, ry, 0)
 		case ArSub:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] -= regs[ry] }).
-				AluUop(arch.UopSub, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopSub, rx, rx, ry, 0)
 		case ArMul:
 			// The low 32 bits of a product are the same signed or unsigned,
 			// so the generic unsigned UopMul matches.
-			return done(2, func(p arch.Proc, regs []uint32) {
-				regs[rx] = uint32(int32(regs[rx]) * int32(regs[ry]))
-			}).AluUop(arch.UopMul, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopMul, rx, rx, ry, 0)
 		case ArDiv:
 			return raw(2, func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
 				b := regs[ry]
@@ -241,47 +237,34 @@ func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 				return pc + 2, nil
 			})
 		case ArAnd:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] &= regs[ry] }).
-				AluUop(arch.UopAnd, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopAnd, rx, rx, ry, 0)
 		case ArOr:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] |= regs[ry] }).
-				AluUop(arch.UopOr, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopOr, rx, rx, ry, 0)
 		case ArXor:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] ^= regs[ry] }).
-				AluUop(arch.UopXor, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopXor, rx, rx, ry, 0)
 		case ArLsl:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] <<= regs[ry] & 31 }).
-				AluUop(arch.UopShl, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopShl, rx, rx, ry, 0)
 		case ArLsr:
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] >>= regs[ry] & 31 }).
-				AluUop(arch.UopShr, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopShr, rx, rx, ry, 0)
 		case ArAsr:
-			return done(2, func(p arch.Proc, regs []uint32) {
-				regs[rx] = uint32(int32(regs[rx]) >> (regs[ry] & 31))
-			}).AluUop(arch.UopSar, rx, rx, ry, 0)
+			return u(2).AluUop(arch.UopSar, rx, rx, ry, 0)
 		case ArNeg:
 			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] = -regs[rx] })
 		case ArNot:
 			// ^a == ^(a|a); there is no hardwired-zero register to pair
 			// with, so NOT compiles to a self-NOR.
-			return done(2, func(p arch.Proc, regs []uint32) { regs[rx] = ^regs[rx] }).
-				AluUop(arch.UopNor, rx, rx, rx, 0)
+			return u(2).AluUop(arch.UopNor, rx, rx, rx, 0)
 		case ArCmp:
-			// compareFlags lays out equal/signed-less/unsigned-less in the
-			// same bits as arch.SubFlags (see condTrue), so the generic
-			// compare micro-op produces identical flags.
-			return done(2, func(p arch.Proc, regs []uint32) {
-				a, b := regs[rx], regs[ry]
-				p.SetFlag(compareFlags(int32(a) < int32(b), a < b, a == b))
-			}).FlagUop(arch.UopCmp, rx, ry, 0)
+			// FlagZ, FlagN, and FlagC are the equal, signed-less, and
+			// unsigned-less bits of arch.SubFlags (see condTrue), so the
+			// generic compare micro-op sets the 68020's flags.
+			return u(2).FlagUop(arch.UopCmp, rx, ry, 0)
 		case ArAddI:
 			d, ok := ext16()
 			if !ok {
 				return nil
 			}
-			disp := uint32(int32(d))
-			return done(4, func(p arch.Proc, regs []uint32) { regs[rx] += disp }).
-				AluUop(arch.UopAddI, rx, rx, 0, disp)
+			return u(4).AluUop(arch.UopAddI, rx, rx, 0, uint32(int32(d)))
 		}
 		return nil
 	case 4: // the real 68000 encodings
@@ -369,7 +352,6 @@ func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		// The displacement is relative to the end of the extension word
 		// (pc+4), matching Asm.Finish.
 		target := pc + 4 + uint32(int32(d))
-		next := pc + 4
 		// Compile the condition to a truth table over the three flag bits
 		// (the same NZC encoding arch.SubFlags produces), so the fused
 		// engine tests the branch with one shift instead of re-evaluating
@@ -380,12 +362,7 @@ func (m *M68k) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 				tbl |= 1 << fl
 			}
 		}
-		return rawT(4, func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if condTrue(cond, *flag) {
-				return target, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBcc, int(tbl), 0, 0, target)
+		return u(4).TermUop(arch.UopBcc, int(tbl), 0, 0, target)
 	case 0xf: // floats
 		fx, fy := rx&7, ry
 		switch minor {

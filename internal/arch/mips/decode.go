@@ -25,12 +25,13 @@ func boolFlag(b bool) uint32 {
 }
 
 // Decode implements arch.Arch. All bit fields, sign extensions, and
-// branch/jump targets are extracted here, once; the returned handlers
-// are flat closures that touch only the register file and memory.
-// Anything that is not a legal instruction decodes to nil, which the
-// simulator reports as SIGILL. The simulator interlocks load delay
-// slots (as the R4000 did), so scheduling affects code size, not
-// semantics.
+// branch/jump targets are extracted here, once. Integer instructions
+// predecode to machine-independent micro-ops; the rest (floats, divide
+// and remainder, traps, loads into r0) to flat closures that touch only
+// the register file and memory. Anything that is not a legal
+// instruction decodes to nil, which the simulator reports as SIGILL.
+// The simulator interlocks load delay slots (as the R4000 did), so
+// scheduling affects code size, not semantics.
 func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	if off < 0 || off+4 > len(code) || off&3 != 0 {
 		return nil
@@ -46,11 +47,13 @@ func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	next := pc + 4
 	btarget := pc + 4 + uint32(imm)<<2
 
+	// u starts an instruction that states its semantics as a micro-op.
+	u := func() *arch.DecodedInsn { return &arch.DecodedInsn{Len: 4} }
 	mk := func(x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
 		return &arch.DecodedInsn{Len: 4, Exec: x}
 	}
-	// mkT marks control-transfer instructions (branches, jumps, traps,
-	// syscalls) that may not fall through to pc+4; superblock formation
+	// mkT marks control-transfer closures (traps, syscalls, float
+	// branches) that may not fall through to pc+4; superblock formation
 	// ends a fused run at the first one.
 	mkT := func(x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
 		return &arch.DecodedInsn{Len: 4, Exec: x, Flags: arch.InsnTerm}
@@ -62,49 +65,24 @@ func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		d := dst(rd)
 		switch fn {
 		case FnSll:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]<<sh)
-				return next, nil
-			}).AluUop(arch.UopShlI, d, rt, 0, uint32(sh))
+			return u().AluUop(arch.UopShlI, d, rt, 0, uint32(sh))
 		case FnSrl:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]>>sh)
-				return next, nil
-			}).AluUop(arch.UopShrI, d, rt, 0, uint32(sh))
+			return u().AluUop(arch.UopShrI, d, rt, 0, uint32(sh))
 		case FnSra:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, uint32(int32(regs[rt])>>sh))
-				return next, nil
-			}).AluUop(arch.UopSarI, d, rt, 0, uint32(sh))
+			return u().AluUop(arch.UopSarI, d, rt, 0, uint32(sh))
 		case FnSllv:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]<<(regs[rs]&31))
-				return next, nil
-			}).AluUop(arch.UopShl, d, rt, rs, 0)
+			return u().AluUop(arch.UopShl, d, rt, rs, 0)
 		case FnSrlv:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]>>(regs[rs]&31))
-				return next, nil
-			}).AluUop(arch.UopShr, d, rt, rs, 0)
+			return u().AluUop(arch.UopShr, d, rt, rs, 0)
 		case FnSrav:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, uint32(int32(regs[rt])>>(regs[rs]&31)))
-				return next, nil
-			}).AluUop(arch.UopSar, d, rt, rs, 0)
+			return u().AluUop(arch.UopSar, d, rt, rs, 0)
 		case FnJr:
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				return regs[rs], nil
-			}).TermUop(arch.UopJmpInd, 0, rs, 0, 0)
+			return u().TermUop(arch.UopJmpInd, 0, rs, 0, 0)
 		case FnJalr:
-			di := mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				t := regs[rs]
-				arch.RegWrite(regs, d, pc+4)
-				return t, nil
-			})
 			if d < 0 { // link discarded: plain indirect jump
-				return di.TermUop(arch.UopJmpInd, 0, rs, 0, 0)
+				return u().TermUop(arch.UopJmpInd, 0, rs, 0, 0)
 			}
-			return di.TermUop(arch.UopJmpIndL, d, rs, 4, 0)
+			return u().TermUop(arch.UopJmpIndL, d, rs, 4, 0)
 		case FnSyscall:
 			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
 				p.SetPC(pc + 4)
@@ -116,10 +94,7 @@ func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 				return 0, &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigTrap, Code: code, PC: pc, Len: 4}
 			})
 		case FnMul:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, uint32(int32(regs[rs])*int32(regs[rt])))
-				return next, nil
-			}).AluUop(arch.UopMul, d, rs, rt, 0)
+			return u().AluUop(arch.UopMul, d, rs, rt, 0)
 		case FnDiv:
 			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
 				b := regs[rt]
@@ -139,157 +114,73 @@ func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 				return next, nil
 			})
 		case FnAddu:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]+regs[rt])
-				return next, nil
-			}).AluUop(arch.UopAdd, d, rs, rt, 0)
+			return u().AluUop(arch.UopAdd, d, rs, rt, 0)
 		case FnSubu:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]-regs[rt])
-				return next, nil
-			}).AluUop(arch.UopSub, d, rs, rt, 0)
+			return u().AluUop(arch.UopSub, d, rs, rt, 0)
 		case FnAnd:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]&regs[rt])
-				return next, nil
-			}).AluUop(arch.UopAnd, d, rs, rt, 0)
+			return u().AluUop(arch.UopAnd, d, rs, rt, 0)
 		case FnOr:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]|regs[rt])
-				return next, nil
-			}).AluUop(arch.UopOr, d, rs, rt, 0)
+			return u().AluUop(arch.UopOr, d, rs, rt, 0)
 		case FnXor:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]^regs[rt])
-				return next, nil
-			}).AluUop(arch.UopXor, d, rs, rt, 0)
+			return u().AluUop(arch.UopXor, d, rs, rt, 0)
 		case FnNor:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, ^(regs[rs] | regs[rt]))
-				return next, nil
-			}).AluUop(arch.UopNor, d, rs, rt, 0)
+			return u().AluUop(arch.UopNor, d, rs, rt, 0)
 		case FnSlt:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, boolFlag(int32(regs[rs]) < int32(regs[rt])))
-				return next, nil
-			}).AluUop(arch.UopSlt, d, rs, rt, 0)
+			return u().AluUop(arch.UopSlt, d, rs, rt, 0)
 		case FnSltu:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, boolFlag(regs[rs] < regs[rt]))
-				return next, nil
-			}).AluUop(arch.UopSltu, d, rs, rt, 0)
+			return u().AluUop(arch.UopSltu, d, rs, rt, 0)
 		}
 		return nil
 	case OpRegimm:
 		switch rt {
 		case 0: // bltz
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				if int32(regs[rs]) < 0 {
-					return btarget, nil
-				}
-				return next, nil
-			}).TermUop(arch.UopBlt, 0, rs, 0, btarget)
+			return u().TermUop(arch.UopBlt, 0, rs, 0, btarget)
 		case 1: // bgez
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				if int32(regs[rs]) >= 0 {
-					return btarget, nil
-				}
-				return next, nil
-			}).TermUop(arch.UopBge, 0, rs, 0, btarget)
+			return u().TermUop(arch.UopBge, 0, rs, 0, btarget)
 		}
 		return nil
 	case OpJ:
-		target := pc&0xf0000000 | w<<6>>4
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			return target, nil
-		}).TermUop(arch.UopJmp, 0, 0, 0, target)
+		return u().TermUop(arch.UopJmp, 0, 0, 0, pc&0xf0000000|w<<6>>4)
 	case OpJal:
-		target := pc&0xf0000000 | w<<6>>4
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			regs[RA] = pc + 4
-			return target, nil
-		}).TermUop(arch.UopJmpL, RA, 0, 4, target)
+		return u().TermUop(arch.UopJmpL, RA, 0, 4, pc&0xf0000000|w<<6>>4)
 	case OpBeq:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if regs[rs] == regs[rt] {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBeq, 0, rs, rt, btarget)
+		return u().TermUop(arch.UopBeq, 0, rs, rt, btarget)
 	case OpBne:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if regs[rs] != regs[rt] {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBne, 0, rs, rt, btarget)
+		return u().TermUop(arch.UopBne, 0, rs, rt, btarget)
 	case OpBlez:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if int32(regs[rs]) <= 0 {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBle, 0, rs, 0, btarget)
+		return u().TermUop(arch.UopBle, 0, rs, 0, btarget)
 	case OpBgtz:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if int32(regs[rs]) > 0 {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBgt, 0, rs, 0, btarget)
+		return u().TermUop(arch.UopBgt, 0, rs, 0, btarget)
 	case OpAddiu:
-		d := dst(rt)
-		simm := uint32(imm)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]+simm)
-			return next, nil
-		}).AluUop(arch.UopAddI, d, rs, 0, simm)
+		return u().AluUop(arch.UopAddI, dst(rt), rs, 0, uint32(imm))
 	case OpSlti:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, boolFlag(int32(regs[rs]) < imm))
-			return next, nil
-		}).AluUop(arch.UopSltI, d, rs, 0, uint32(imm))
+		return u().AluUop(arch.UopSltI, dst(rt), rs, 0, uint32(imm))
 	case OpAndi:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]&uimm)
-			return next, nil
-		}).AluUop(arch.UopAndI, d, rs, 0, uimm)
+		return u().AluUop(arch.UopAndI, dst(rt), rs, 0, uimm)
 	case OpOri:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]|uimm)
-			return next, nil
-		}).AluUop(arch.UopOrI, d, rs, 0, uimm)
+		return u().AluUop(arch.UopOrI, dst(rt), rs, 0, uimm)
 	case OpXori:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]^uimm)
-			return next, nil
-		}).AluUop(arch.UopXorI, d, rs, 0, uimm)
+		return u().AluUop(arch.UopXorI, dst(rt), rs, 0, uimm)
 	case OpLui:
-		d := dst(rt)
-		v := uimm << 16
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, v)
-			return next, nil
-		}).AluUop(arch.UopConst, d, 0, 0, v)
+		return u().AluUop(arch.UopConst, dst(rt), 0, 0, uimm<<16)
 	case OpLb, OpLbu, OpLh, OpLhu, OpLw:
-		d := dst(rt)
 		simm := uint32(imm)
-		size := 4
-		switch op {
-		case OpLb, OpLbu:
-			size = 1
-		case OpLh, OpLhu:
-			size = 2
-		}
-		signed := 0
-		if op == OpLb {
-			signed = 1
-		} else if op == OpLh {
-			signed = 2
+		if rt == 0 {
+			// A load into r0 has no micro-op: the value is discarded but
+			// the access must still fault.
+			size := 4
+			switch op {
+			case OpLb, OpLbu:
+				size = 1
+			case OpLh, OpLhu:
+				size = 2
+			}
+			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
+				if _, f := p.Load(regs[rs]+simm, size); f != nil {
+					return 0, f
+				}
+				return next, nil
+			})
 		}
 		uop := arch.UopLd32
 		switch op {
@@ -302,28 +193,8 @@ func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		case OpLhu:
 			uop = arch.UopLd16U
 		}
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			v, f := p.Load(regs[rs]+simm, size)
-			if f != nil {
-				return 0, f
-			}
-			switch signed {
-			case 1:
-				v = uint32(int32(int8(v)))
-			case 2:
-				v = uint32(int32(int16(v)))
-			}
-			arch.RegWrite(regs, d, v)
-			return next, nil
-		}).MemUop(uop, d, rs, 0, simm)
+		return u().MemUop(uop, rt, rs, 0, simm)
 	case OpSb, OpSh, OpSw:
-		simm := uint32(imm)
-		size := 4
-		if op == OpSb {
-			size = 1
-		} else if op == OpSh {
-			size = 2
-		}
 		uop := arch.UopSt32
 		switch op {
 		case OpSb:
@@ -331,12 +202,7 @@ func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		case OpSh:
 			uop = arch.UopSt16
 		}
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if f := p.Store(regs[rs]+simm, size, regs[rt]); f != nil {
-				return 0, f
-			}
-			return next, nil
-		}).MemUop(uop, rt, rs, 0, simm)
+		return u().MemUop(uop, rt, rs, 0, uint32(imm))
 	case OpLwc1, OpLdc1:
 		simm := uint32(imm)
 		size := 4

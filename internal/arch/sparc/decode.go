@@ -6,21 +6,6 @@ import (
 	"ldb/internal/arch"
 )
 
-// subFlags computes the condition codes subcc sets for a - b.
-func subFlags(a, b uint32) uint32 {
-	var fl uint32
-	if a == b {
-		fl |= FlagZ
-	}
-	if int32(a) < int32(b) {
-		fl |= FlagN
-	}
-	if a < b {
-		fl |= FlagC
-	}
-	return fl
-}
-
 func condTrue(cond int, flag uint32) bool {
 	z := flag&FlagZ != 0
 	n := flag&FlagN != 0
@@ -61,8 +46,9 @@ func signExt13(w uint32) uint32 {
 // Decode implements arch.Arch. The second operand of arithmetic and
 // memory forms is either a sign-extended 13-bit immediate or a register
 // read; decode resolves which once (rs2 < 0 means "use the immediate"),
-// and the hottest forms predecode to separate register and immediate
-// closures so execution never re-tests it.
+// and integer instructions predecode to separate register and immediate
+// micro-ops so execution never re-tests it. The rest (floats, divide,
+// traps, and the rare forms listed below) predecode to closures.
 // Writes to %g0 predecode to the -1 slot that arch.RegWrite discards.
 // Words that are not legal instructions decode to nil, which the
 // simulator reports as SIGILL.
@@ -79,12 +65,14 @@ func (s *Sparc) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		}
 		return r
 	}
+	// u starts an instruction that states its semantics as a micro-op.
+	u := func() *arch.DecodedInsn { return &arch.DecodedInsn{Len: 4} }
 	mk := func(x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
 		return &arch.DecodedInsn{Len: 4, Exec: x}
 	}
-	// mkT marks control-transfer instructions (call, branches, jmpl,
-	// traps) that may not fall through to pc+4; superblock formation
-	// ends a fused run at the first one.
+	// mkT marks control-transfer closures (linked jmpl, traps) that may
+	// not fall through to pc+4; superblock formation ends a fused run at
+	// the first one.
 	mkT := func(x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
 		return &arch.DecodedInsn{Len: 4, Exec: x, Flags: arch.InsnTerm}
 	}
@@ -100,24 +88,14 @@ func (s *Sparc) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	switch w >> 30 {
 	case 1: // call
 		disp := int32(w<<2) >> 2
-		target := pc + uint32(disp)*4
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			regs[O7] = pc
-			return target, nil
-		}).TermUop(arch.UopJmpL, O7, 0, 0, target)
+		return u().TermUop(arch.UopJmpL, O7, 0, 0, pc+uint32(disp)*4)
 	case 0: // sethi / branches
 		switch w >> 22 & 7 {
 		case 4: // sethi
-			d := dst(int(w >> 25 & 31))
-			v := w << 10
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, v)
-				return next, nil
-			}).AluUop(arch.UopConst, d, 0, 0, v)
+			return u().AluUop(arch.UopConst, dst(int(w>>25&31)), 0, 0, w<<10)
 		case 2, 6: // Bicc / FBfcc
 			cond := int(w >> 25 & 15)
 			disp := int32(w<<10) >> 10
-			target := pc + uint32(disp)*4
 			// The flags live in bits 0-2, so the condition predecodes
 			// to an 8-entry truth table indexed by flag&7.
 			var tbl uint32
@@ -126,12 +104,7 @@ func (s *Sparc) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 					tbl |= 1 << fl
 				}
 			}
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				if tbl>>(*flag&7)&1 != 0 {
-					return target, nil
-				}
-				return next, nil
-			}).TermUop(arch.UopBcc, int(tbl), 0, 0, target)
+			return u().TermUop(arch.UopBcc, int(tbl), 0, 0, pc+uint32(disp)*4)
 		}
 		return nil
 	case 2: // arithmetic
@@ -139,65 +112,32 @@ func (s *Sparc) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		d := dst(rd)
 		op3 := int(w >> 19 & 63)
 		rs1 := int(w >> 14 & 31)
-		alu := func(x func(a, b uint32) uint32) *arch.DecodedInsn {
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				b := simm
-				if rs2 >= 0 {
-					b = regs[rs2]
-				}
-				arch.RegWrite(regs, d, x(regs[rs1], b))
-				return next, nil
-			})
+		// alu picks the register or the immediate form of a micro-op.
+		alu := func(reg, immOp arch.Uop, imm uint32) *arch.DecodedInsn {
+			if rs2 >= 0 {
+				return u().AluUop(reg, d, rs1, rs2, 0)
+			}
+			return u().AluUop(immOp, d, rs1, 0, imm)
 		}
 		switch op3 {
 		case Op3Add:
-			if r2 := rs2; r2 >= 0 {
-				return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-					arch.RegWrite(regs, d, regs[rs1]+regs[r2])
-					return next, nil
-				}).AluUop(arch.UopAdd, d, rs1, r2, 0)
-			}
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs1]+simm)
-				return next, nil
-			}).AluUop(arch.UopAddI, d, rs1, 0, simm)
+			return alu(arch.UopAdd, arch.UopAddI, simm)
 		case Op3Sub:
-			if r2 := rs2; r2 >= 0 {
-				return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-					arch.RegWrite(regs, d, regs[rs1]-regs[r2])
-					return next, nil
-				}).AluUop(arch.UopSub, d, rs1, r2, 0)
-			}
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs1]-simm)
-				return next, nil
-			}).AluUop(arch.UopAddI, d, rs1, 0, -simm)
+			return alu(arch.UopSub, arch.UopAddI, -simm)
 		case Op3And:
-			if r2 := rs2; r2 >= 0 {
-				return alu(func(a, b uint32) uint32 { return a & b }).AluUop(arch.UopAnd, d, rs1, r2, 0)
-			}
-			return alu(func(a, b uint32) uint32 { return a & b }).AluUop(arch.UopAndI, d, rs1, 0, simm)
+			return alu(arch.UopAnd, arch.UopAndI, simm)
 		case Op3Or:
-			if r2 := rs2; r2 >= 0 {
-				return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-					arch.RegWrite(regs, d, regs[rs1]|regs[r2])
-					return next, nil
-				}).AluUop(arch.UopOr, d, rs1, r2, 0)
+			return alu(arch.UopOr, arch.UopOrI, simm)
+		case Op3Xor:
+			return alu(arch.UopXor, arch.UopXorI, simm)
+		case Op3SMul:
+			if rs2 >= 0 {
+				return u().AluUop(arch.UopMul, d, rs1, rs2, 0)
 			}
 			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs1]|simm)
+				arch.RegWrite(regs, d, uint32(int32(regs[rs1])*int32(simm)))
 				return next, nil
-			}).AluUop(arch.UopOrI, d, rs1, 0, simm)
-		case Op3Xor:
-			if r2 := rs2; r2 >= 0 {
-				return alu(func(a, b uint32) uint32 { return a ^ b }).AluUop(arch.UopXor, d, rs1, r2, 0)
-			}
-			return alu(func(a, b uint32) uint32 { return a ^ b }).AluUop(arch.UopXorI, d, rs1, 0, simm)
-		case Op3SMul:
-			if r2 := rs2; r2 >= 0 {
-				return alu(func(a, b uint32) uint32 { return uint32(int32(a) * int32(b)) }).AluUop(arch.UopMul, d, rs1, r2, 0)
-			}
-			return alu(func(a, b uint32) uint32 { return uint32(int32(a) * int32(b)) })
+			})
 		case Op3SDiv:
 			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
 				b := simm
@@ -211,64 +151,35 @@ func (s *Sparc) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 				return next, nil
 			})
 		case Op3Sll:
-			if r2 := rs2; r2 >= 0 {
-				return alu(func(a, b uint32) uint32 { return a << (b & 31) }).AluUop(arch.UopShl, d, rs1, r2, 0)
-			}
-			return alu(func(a, b uint32) uint32 { return a << (b & 31) }).AluUop(arch.UopShlI, d, rs1, 0, simm&31)
+			return alu(arch.UopShl, arch.UopShlI, simm&31)
 		case Op3Srl:
-			if r2 := rs2; r2 >= 0 {
-				return alu(func(a, b uint32) uint32 { return a >> (b & 31) }).AluUop(arch.UopShr, d, rs1, r2, 0)
-			}
-			return alu(func(a, b uint32) uint32 { return a >> (b & 31) }).AluUop(arch.UopShrI, d, rs1, 0, simm&31)
+			return alu(arch.UopShr, arch.UopShrI, simm&31)
 		case Op3Sra:
-			if r2 := rs2; r2 >= 0 {
-				return alu(func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) }).AluUop(arch.UopSar, d, rs1, r2, 0)
-			}
-			return alu(func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) }).AluUop(arch.UopSarI, d, rs1, 0, simm&31)
+			return alu(arch.UopSar, arch.UopSarI, simm&31)
 		case Op3SubCC:
-			if r2 := rs2; r2 >= 0 {
-				di := mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-					a, b := regs[rs1], regs[r2]
-					arch.RegWrite(regs, d, a-b)
-					*flag = subFlags(a, b)
-					return next, nil
-				})
-				if d < 0 {
-					return di.FlagUop(arch.UopCmp, rs1, r2, 0)
-				}
-				return di.AluUop(arch.UopSubCC, d, rs1, r2, 0)
+			switch {
+			case d < 0 && rs2 >= 0:
+				return u().FlagUop(arch.UopCmp, rs1, rs2, 0)
+			case d < 0:
+				return u().FlagUop(arch.UopCmpI, rs1, 0, simm)
 			}
-			di := mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				a := regs[rs1]
-				arch.RegWrite(regs, d, a-simm)
-				*flag = subFlags(a, simm)
-				return next, nil
-			})
-			if d < 0 {
-				return di.FlagUop(arch.UopCmpI, rs1, 0, simm)
-			}
-			return di.AluUop(arch.UopSubCCI, d, rs1, 0, simm)
+			return alu(arch.UopSubCC, arch.UopSubCCI, simm)
 		case Op3Jmpl:
-			if r2 := rs2; r2 >= 0 {
-				di := mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-					t := regs[rs1] + regs[r2]
-					arch.RegWrite(regs, d, pc)
-					return t, nil
-				})
-				if d < 0 { // link discarded: plain indirect jump
-					return di.TermUop(arch.UopJmpInd, 0, rs1, r2, 0)
-				}
-				return di // linked register-register jmpl is rare; keep the closure
+			switch {
+			case d < 0 && rs2 >= 0: // link discarded: plain indirect jump
+				return u().TermUop(arch.UopJmpInd, 0, rs1, rs2, 0)
+			case d < 0: // ret / retl and friends
+				return u().TermUop(arch.UopJmpInd, 0, rs1, 0, simm)
+			case rs2 < 0:
+				return u().TermUop(arch.UopJmpIndL, d, rs1, 0, simm)
 			}
-			di := mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				t := regs[rs1] + simm
-				arch.RegWrite(regs, d, pc)
+			// The linked register-register jmpl is rare and has no
+			// micro-op.
+			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
+				t := regs[rs1] + regs[rs2]
+				regs[d] = pc
 				return t, nil
 			})
-			if d < 0 { // ret / retl and friends: link discarded
-				return di.TermUop(arch.UopJmpInd, 0, rs1, 0, simm)
-			}
-			return di.TermUop(arch.UopJmpIndL, d, rs1, 0, simm)
 		case Op3Trap:
 			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
 				b := simm
@@ -350,90 +261,49 @@ func (s *Sparc) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 		rd := int(w >> 25 & 31)
 		op3 := int(w >> 19 & 63)
 		rs1 := int(w >> 14 & 31)
-		load := func(size, signed int) *arch.DecodedInsn {
-			d := dst(rd)
-			uop := arch.UopLd32
-			switch {
-			case size == 1 && signed != 0:
-				uop = arch.UopLd8S
-			case size == 1:
-				uop = arch.UopLd8U
-			case size == 2 && signed != 0:
-				uop = arch.UopLd16S
-			case size == 2:
-				uop = arch.UopLd16U
-			}
-			if r2 := rs2; r2 >= 0 {
+		load := func(size int, uop arch.Uop) *arch.DecodedInsn {
+			if rd == 0 {
+				// A load into %g0 has no micro-op: the value is discarded
+				// but the access must still fault.
 				return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-					v, f := p.Load(regs[rs1]+regs[r2], size)
-					if f != nil {
+					b := simm
+					if rs2 >= 0 {
+						b = regs[rs2]
+					}
+					if _, f := p.Load(regs[rs1]+b, size); f != nil {
 						return 0, f
 					}
-					switch signed {
-					case 1:
-						v = uint32(int32(int8(v)))
-					case 2:
-						v = uint32(int32(int16(v)))
-					}
-					arch.RegWrite(regs, d, v)
 					return next, nil
-				}).MemUop(uop, d, rs1, r2, 0)
+				})
 			}
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				v, f := p.Load(regs[rs1]+simm, size)
-				if f != nil {
-					return 0, f
-				}
-				switch signed {
-				case 1:
-					v = uint32(int32(int8(v)))
-				case 2:
-					v = uint32(int32(int16(v)))
-				}
-				arch.RegWrite(regs, d, v)
-				return next, nil
-			}).MemUop(uop, d, rs1, 0, simm)
+			if rs2 >= 0 {
+				return u().MemUop(uop, rd, rs1, rs2, 0)
+			}
+			return u().MemUop(uop, rd, rs1, 0, simm)
 		}
-		store := func(size int) *arch.DecodedInsn {
-			uop := arch.UopSt32
-			switch size {
-			case 1:
-				uop = arch.UopSt8
-			case 2:
-				uop = arch.UopSt16
+		store := func(uop arch.Uop) *arch.DecodedInsn {
+			if rs2 >= 0 {
+				return u().MemUop(uop, rd, rs1, rs2, 0)
 			}
-			if r2 := rs2; r2 >= 0 {
-				return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-					if f := p.Store(regs[rs1]+regs[r2], size, regs[rd]); f != nil {
-						return 0, f
-					}
-					return next, nil
-				}).MemUop(uop, rd, rs1, r2, 0)
-			}
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				if f := p.Store(regs[rs1]+simm, size, regs[rd]); f != nil {
-					return 0, f
-				}
-				return next, nil
-			}).MemUop(uop, rd, rs1, 0, simm)
+			return u().MemUop(uop, rd, rs1, 0, simm)
 		}
 		switch op3 {
 		case Op3Ld:
-			return load(4, 0)
+			return load(4, arch.UopLd32)
 		case Op3Ldub:
-			return load(1, 0)
+			return load(1, arch.UopLd8U)
 		case Op3Lduh:
-			return load(2, 0)
+			return load(2, arch.UopLd16U)
 		case Op3Ldsb:
-			return load(1, 1)
+			return load(1, arch.UopLd8S)
 		case Op3Ldsh:
-			return load(2, 2)
+			return load(2, arch.UopLd16S)
 		case Op3St:
-			return store(4)
+			return store(arch.UopSt32)
 		case Op3Stb:
-			return store(1)
+			return store(arch.UopSt8)
 		case Op3Sth:
-			return store(2)
+			return store(arch.UopSt16)
 		case Op3Ldf, Op3Lddf:
 			size := 4
 			if op3 == Op3Lddf {

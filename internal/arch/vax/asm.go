@@ -76,7 +76,8 @@ const (
 	ModeLDisp = 0xe // long displacement (rN)
 )
 
-// Flag bits (psl condition codes, simplified).
+// Flag bits (psl condition codes, simplified): the equal, signed-less,
+// and unsigned-less bits arch.SubFlags computes.
 const (
 	FlagZ = 1 << 0
 	FlagN = 1 << 1

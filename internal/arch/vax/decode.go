@@ -10,20 +10,6 @@ func sigill(pc uint32) *arch.Fault {
 	return &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigIll, PC: pc}
 }
 
-func compareFlags(a, b uint32) uint32 {
-	var f uint32
-	if a == b {
-		f |= FlagZ
-	}
-	if int32(a) < int32(b) {
-		f |= FlagN
-	}
-	if a < b {
-		f |= FlagC
-	}
-	return f
-}
-
 // Operand kinds.
 const (
 	oReg = iota
@@ -410,7 +396,7 @@ func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 			// The flags are set even when the read faults (from the
 			// zero value).
 			v, f := readOp(p, regs, &o, 4, pc)
-			*flag = compareFlags(v, 0)
+			*flag = arch.SubFlags(v, 0)
 			if f != nil {
 				return 0, f
 			}
@@ -425,7 +411,7 @@ func (v *Vax) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 			if f == nil {
 				b, f = readOp(p, regs, &s2, 4, pc)
 			}
-			*flag = compareFlags(a, b) // set even on a fault, from zeros
+			*flag = arch.SubFlags(a, b) // set even on a fault, from zeros
 			if f != nil {
 				return 0, f
 			}

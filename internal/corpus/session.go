@@ -59,6 +59,10 @@ func RunSession(prog *driver.Program, sc workload.Scenario, pd PredecodeMode, wi
 	if err != nil {
 		return nil, fmt.Errorf("launch: %w", err)
 	}
+	// Closing the pipe ends the nub's Serve goroutine, which would
+	// otherwise hold the whole process — memory, decode caches and
+	// superblocks — for the life of the corpus run.
+	defer client.Close()
 	tgt, err := d.AttachClient(sc.Name, client, prog.LoaderPS)
 	if err != nil {
 		return nil, fmt.Errorf("attach: %w", err)

@@ -30,8 +30,8 @@ type Segment struct {
 	// decoded is the segment's decode cache, indexed by byte offset;
 	// allocated lazily on first execution from the segment, so data and
 	// stack segments never pay for it. See predecode.go.
-	// Entries are stored by value (a nil Exec means "not decoded") so
-	// dispatch loads the handler with one indirection, not two.
+	// Entries are stored by value (a zero Len means "not decoded") so
+	// dispatch loads an entry with one indirection, not two.
 	decoded []arch.DecodedInsn
 	// sblocks is the superblock cache, indexed by entry byte offset,
 	// and gen is the segment's invalidation generation: any text write

@@ -1,7 +1,7 @@
 // The decode cache: Process executes only what its architecture's
 // Decode returns. Each segment lazily grows a slice of decoded entries
 // indexed by byte offset (variable-length instructions key naturally;
-// fixed-width ISAs simply leave the intermediate offsets nil), filled
+// fixed-width ISAs simply leave the intermediate offsets empty), filled
 // on first execution and consulted on every subsequent one. Any write into a segment that has been executed
 // from — a data store, a planted breakpoint, a trap restoration —
 // invalidates the entries the written bytes could cover, so the next
@@ -67,11 +67,12 @@ func (s SimStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// step executes the one instruction at pc: from its decode-cache
-// entry, decoding it into the cache first if need be, or with
-// NoPredecode by decoding it afresh and discarding the decoded form.
-// An unmapped pc raises SIGSEGV and bytes that do not decode raise
-// SIGILL; both count as fallbacks.
+// step executes the one instruction at pc, as a run of one through the
+// same executor superblocks use: from its decode-cache entry, decoding
+// it into the cache first if need be, or with NoPredecode by decoding
+// it afresh and discarding the decoded form. An unmapped pc raises
+// SIGSEGV and bytes that do not decode raise SIGILL; both count as
+// fallbacks.
 func (p *Process) step() *arch.Fault {
 	pc := p.pc
 	s := p.textSeg(pc)
@@ -90,7 +91,8 @@ func (p *Process) step() *arch.Fault {
 		p.Sim.Fallbacks++
 		return &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigIll, PC: pc}
 	}
-	next, f := d.Exec(p, p.regs, &p.flag, pc)
+	run := [1]fusedOp{fuse(d, 0)}
+	next, _, f := p.exec(s, run[:], pc)
 	if f != nil {
 		return f
 	}
@@ -121,7 +123,7 @@ func (p *Process) cached(s *Segment, off, pc uint32) *arch.DecodedInsn {
 		s.decoded = make([]arch.DecodedInsn, len(s.Data))
 	}
 	d := &s.decoded[off]
-	if d.Exec != nil {
+	if d.Len != 0 {
 		return d
 	}
 	dn := p.A.Decode(s.Data, int(off), pc)
@@ -177,8 +179,8 @@ func (p *Process) invalidateCaches(s *Segment, addr uint32, n int) {
 		}
 		for i := start; i < end; i++ {
 			d := &s.decoded[i]
-			if d.Exec == nil {
-				continue
+			if d.Len == 0 {
+				continue // empty slot
 			}
 			if uint32(i)+d.Len <= lo {
 				continue // ends before the written range

@@ -3,14 +3,14 @@
 // TextCache publishes one process's predecoded instructions and
 // superblocks under an (arch, content-hash) key and hands them to later
 // processes that load identical text. Sharing is safe because decode
-// products are functions of the bytes alone: Exec closures capture only
-// decode-time constants (immediates, branch targets, pre-computed
-// successors), text always loads at TextBase so even absolute pcs baked
-// into closures agree across processes, and the invalidation contract
-// guarantees a published cache describes exactly the bytes it was
-// hashed over — a session that has planted a breakpoint has different
-// bytes and therefore a different key, so it can neither poison the
-// pristine entry nor adopt from it.
+// products are functions of the bytes alone: micro-op operands and Exec
+// closures capture only decode-time constants (immediates, branch
+// targets, pre-computed successors), text always loads at TextBase so
+// even absolute pcs baked into them agree across processes, and the
+// invalidation contract guarantees a published cache describes exactly
+// the bytes it was hashed over — a session that has planted a
+// breakpoint has different bytes and therefore a different key, so it
+// can neither poison the pristine entry nor adopt from it.
 //
 // Adopted state is copy-on-write: the decoded slice is installed
 // read-only (Segment.ro) and privatized — copied — before the first
@@ -33,7 +33,7 @@ import (
 // once inserted into a TextCache.
 type SharedText struct {
 	decoded []arch.DecodedInsn
-	// blocks are superblock templates: ops/nbytes/fall only, with the
+	// blocks are superblock templates: ops/nbytes only, with the
 	// per-session predicted-successor links stripped. Adopt clones the
 	// headers and shares the ops arrays.
 	blocks []*sblock
@@ -87,7 +87,7 @@ func (c *TextCache) Adopt(p *Process) bool {
 	s.sblocks = make([]*sblock, len(st.blocks))
 	for i, t := range st.blocks {
 		if t != nil {
-			s.sblocks[i] = &sblock{ops: t.ops, nbytes: t.nbytes, fall: t.fall}
+			s.sblocks[i] = &sblock{ops: t.ops, nbytes: t.nbytes}
 		}
 	}
 	s.gen = 0
@@ -116,7 +116,7 @@ func (c *TextCache) Publish(p *Process) bool {
 	st := &SharedText{decoded: s.decoded, blocks: make([]*sblock, len(s.sblocks))}
 	for i, b := range s.sblocks {
 		if b != nil {
-			st.blocks[i] = &sblock{ops: b.ops, nbytes: b.nbytes, fall: b.fall}
+			st.blocks[i] = &sblock{ops: b.ops, nbytes: b.nbytes}
 		}
 	}
 	c.m[key] = st
