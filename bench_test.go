@@ -99,6 +99,8 @@ func benchReadSymtab(b *testing.B, lines int) {
 		src = workload.Big(lines)
 	}
 	prog := buildFor(b, "mips", "p.c", src, true, false)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(prog.LoaderPS)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := symtab.Load(ps.New(), prog.LoaderPS); err != nil {
@@ -112,6 +114,12 @@ func BenchmarkReadSymtabLcc(b *testing.B)   { benchReadSymtab(b, lccSized) }
 
 func benchConnect(b *testing.B, progs ...*driver.Program) {
 	b.Helper()
+	b.ReportAllocs()
+	var n int64
+	for _, prog := range progs {
+		n += int64(len(prog.LoaderPS))
+	}
+	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := core.New(nil)
@@ -228,6 +236,7 @@ func benchSymtabRead(b *testing.B, deferred bool) {
 	}
 	prog := buildFor(b, "sparc", "big.c", workload.Big(lccSized), true, false)
 	loaderPS := link.LoaderPS(prog.Image, symtab.EmitProgramPSOpts([]*cc.Unit{unit}, "sparc", deferred))
+	b.ReportAllocs()
 	b.SetBytes(int64(len(loaderPS)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

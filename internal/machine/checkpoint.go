@@ -226,6 +226,7 @@ func FromCheckpoint(ck *Checkpoint) (*Process, error) {
 		Sim:      ck.Sim,
 	}
 	p.be = a.Order() == binary.BigEndian //ldb:allow endian caches the arch's declared order for the hot load/store path, as New does
+	p.slotShift = slotShift(a)
 	copy(p.regs, ck.Regs)
 	copy(p.fregs, ck.FRegs)
 	p.Stdout.Write(ck.Stdout)

@@ -29,7 +29,10 @@ func words(o binary.ByteOrder, width int, ws ...uint32) []byte {
 // execute, on every ISA: bytes Decode rejects raise SIGILL at pc with
 // the registers untouched, and an unmapped pc raises SIGSEGV with
 // Addr = PC = pc. The cached and the uncached engine must stop with
-// the same fault, pc, registers, and step count.
+// the same fault, pc, registers, and step count. A misaligned pc must
+// also raise SIGILL once the caches are warm: it shares a cache slot
+// with the instruction on the boundary below it, and must never run
+// that slot's entry or block.
 func TestEngineFaults(t *testing.T) {
 	const unmapped = 0x1000
 	asm := func(code []byte, _ []arch.Reloc, err error) []byte {
@@ -83,6 +86,23 @@ func TestEngineFaults(t *testing.T) {
 		{"vax/unmapped", vax.Target, []byte{vax.OpJmp, vax.ModeDefer<<4 | 1}, TextBase, map[int]uint32{1: unmapped}, segv},
 	}
 	for _, c := range cases {
+		if c.entry%uint32(c.a.InstrSize()) != 0 {
+			p := New(c.a, c.code, make([]byte, 16), TextBase)
+			p.Run() // fills the slot below c.entry, whatever it stops at
+			if p.SimStats().Decodes == 0 {
+				t.Fatalf("%s: warm-up decoded nothing", c.name)
+			}
+			p.SetPC(c.entry)
+			before := append([]uint32(nil), p.regs...)
+			if f := p.Run(); f == nil || *f != c.want || p.PC() != c.want.PC {
+				t.Errorf("%s (warm): fault %v at pc %#x, want %v", c.name, f, p.PC(), &c.want)
+			}
+			for r := range before {
+				if p.regs[r] != before[r] {
+					t.Errorf("%s (warm): r%d = %#x, want %#x untouched", c.name, r, p.regs[r], before[r])
+				}
+			}
+		}
 		var runs [2]*Process
 		for i, noPredecode := range []bool{false, true} {
 			p := New(c.a, c.code, make([]byte, 16), c.entry)

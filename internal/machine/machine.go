@@ -27,13 +27,14 @@ type Segment struct {
 	Name string
 	Base uint32
 	Data []byte
-	// decoded is the segment's decode cache, indexed by byte offset;
-	// allocated lazily on first execution from the segment, so data and
-	// stack segments never pay for it. See predecode.go.
+	// decoded is the segment's decode cache, with one slot per
+	// instruction-sized unit of text (see Process.slotShift); allocated
+	// lazily on first execution from the segment, so data and stack
+	// segments never pay for it. See predecode.go.
 	// Entries are stored by value (a zero Len means "not decoded") so
 	// dispatch loads an entry with one indirection, not two.
 	decoded []arch.DecodedInsn
-	// sblocks is the superblock cache, indexed by entry byte offset,
+	// sblocks is the superblock cache, indexed by the entry's slot,
 	// and gen is the segment's invalidation generation: any text write
 	// that drops a block bumps it, which both severs predicted-successor
 	// links and tells a block in mid-execution to abandon its remaining
@@ -116,6 +117,11 @@ type Process struct {
 	be       bool     // big-endian target; avoids per-access Order() dispatch
 	lastSeg  *Segment // memory fast path: last segment hit by seg()
 	lastText *Segment // execution fast path: last segment fetched from
+	// slotShift is log2 of the architecture's instruction size: the
+	// instruction at text offset off has cache slot off>>slotShift, and
+	// an offset with any of the low slotShift bits set is not on an
+	// instruction boundary.
+	slotShift uint32
 
 	// memBase/memData mirror lastSeg's window so the fused dispatch
 	// loop's memory micro-ops bounds-check against Process fields
@@ -152,6 +158,7 @@ func New(a arch.Arch, text, data []byte, entry uint32) *Process {
 		pc:    entry,
 	}
 	p.be = a.Order() == binary.BigEndian //ldb:allow endian caches the arch's declared order for the hot load/store path
+	p.slotShift = slotShift(a)
 	p.Segs = []*Segment{
 		{Name: "text", Base: TextBase, Data: append([]byte(nil), text...)},
 		{Name: "data", Base: DataBase, Data: append([]byte(nil), data...)},

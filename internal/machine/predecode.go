@@ -1,24 +1,41 @@
 // The decode cache: Process executes only what its architecture's
 // Decode returns. Each segment lazily grows a slice of decoded entries
-// indexed by byte offset (variable-length instructions key naturally;
-// fixed-width ISAs simply leave the intermediate offsets empty), filled
-// on first execution and consulted on every subsequent one. Any write into a segment that has been executed
-// from — a data store, a planted breakpoint, a trap restoration —
-// invalidates the entries the written bytes could cover, so the next
-// execution at those addresses re-decodes what is actually in memory.
+// with one slot per instruction-sized unit of text — per 4 bytes on
+// mips and sparc, per 2 on m68k, per byte on the VAX — since no
+// instruction starts between two units; entries are filled on first
+// execution and consulted on every subsequent one. Any write into a
+// segment that has been executed from — a data store, a planted
+// breakpoint, a trap restoration — invalidates the entries the written
+// bytes could cover, so the next execution at those addresses
+// re-decodes what is actually in memory.
 // This is the §3 retargeting seam made fast: ldb plants breakpoints by
 // overwriting no-ops in text through ordinary stores, and the
 // invalidation contract is what keeps plant, unplant, and stale decoded
 // instructions from ever disagreeing.
 package machine
 
-import "ldb/internal/arch"
+import (
+	"math/bits"
+
+	"ldb/internal/arch"
+)
 
 // maxInsnBytes bounds how many bytes before a written address an
 // instruction may start and still cover it: the longest instruction any
 // target emits (a VAX three-operand op with long-displacement specifiers)
 // is 16 bytes.
 const maxInsnBytes = 16
+
+// slotShift returns log2 of a's instruction size, the unit the decode
+// and superblock caches keep one slot per.
+func slotShift(a arch.Arch) uint32 {
+	return uint32(bits.TrailingZeros(uint(a.InstrSize())))
+}
+
+// slots returns how many cache slots s's text needs.
+func (p *Process) slots(s *Segment) int {
+	return (len(s.Data) + 1<<p.slotShift - 1) >> p.slotShift
+}
 
 // SimStats counts decode-cache activity. Steps (on Process) counts
 // executed instructions; here Hits is how many executed from a cached
@@ -117,12 +134,17 @@ func (p *Process) textSeg(pc uint32) *Segment {
 
 // cached returns the decode-cache entry for the instruction at off,
 // decoding it into the cache on a miss, or nil when the bytes there do
-// not decode.
+// not decode — which they never do off an instruction boundary, where
+// the slot belongs to the instruction that starts on it.
 func (p *Process) cached(s *Segment, off, pc uint32) *arch.DecodedInsn {
-	if s.decoded == nil {
-		s.decoded = make([]arch.DecodedInsn, len(s.Data))
+	if off&(1<<p.slotShift-1) != 0 {
+		return nil
 	}
-	d := &s.decoded[off]
+	if s.decoded == nil {
+		s.decoded = make([]arch.DecodedInsn, p.slots(s))
+	}
+	i := off >> p.slotShift
+	d := &s.decoded[i]
 	if d.Len != 0 {
 		return d
 	}
@@ -132,7 +154,7 @@ func (p *Process) cached(s *Segment, off, pc uint32) *arch.DecodedInsn {
 	}
 	if s.ro {
 		s.privatize()
-		d = &s.decoded[off]
+		d = &s.decoded[i]
 	}
 	*d = *dn
 	p.Sim.Decodes++
@@ -167,22 +189,20 @@ func (p *Process) invalidateCaches(s *Segment, addr uint32, n int) {
 	// A shared decoded slice must be copied before entries are cleared:
 	// the other processes referencing it did not write these bytes.
 	s.privatize()
+	// Slots are converted from byte offsets: an entry can start no
+	// earlier than the lookback and must start before the range ends.
 	lo := addr - s.Base
+	sh := p.slotShift
+	last := (int(lo) + n - 1) >> sh
 	if s.decoded != nil {
-		start := int(lo) - (maxInsnBytes - 1)
-		if start < 0 {
-			start = 0
-		}
-		end := int(lo) + n
-		if end > len(s.decoded) {
-			end = len(s.decoded)
-		}
+		start := max(int(lo)-(maxInsnBytes-1), 0) >> sh
+		end := min(last+1, len(s.decoded))
 		for i := start; i < end; i++ {
 			d := &s.decoded[i]
 			if d.Len == 0 {
 				continue // empty slot
 			}
-			if uint32(i)+d.Len <= lo {
+			if uint32(i)<<sh+d.Len <= lo {
 				continue // ends before the written range
 			}
 			*d = arch.DecodedInsn{}
@@ -190,21 +210,15 @@ func (p *Process) invalidateCaches(s *Segment, addr uint32, n int) {
 		}
 	}
 	if s.sblocks != nil {
-		start := int(lo) - (maxBlockBytes - 1)
-		if start < 0 {
-			start = 0
-		}
-		end := int(lo) + n
-		if end > len(s.sblocks) {
-			end = len(s.sblocks)
-		}
+		start := max(int(lo)-(maxBlockBytes-1), 0) >> sh
+		end := min(last+1, len(s.sblocks))
 		dropped := false
 		for i := start; i < end; i++ {
 			b := s.sblocks[i]
 			if b == nil {
 				continue
 			}
-			if uint32(i)+b.nbytes <= lo {
+			if uint32(i)<<sh+b.nbytes <= lo {
 				continue // the whole run ends before the written range
 			}
 			s.sblocks[i] = nil

@@ -185,3 +185,30 @@ func TestSharePublisherKeepsRunning(t *testing.T) {
 		t.Fatalf("adopter t0 = %d, want 20", p2.Reg(mips.T0))
 	}
 }
+
+// TestShareSteppedPublisher: a process that only single-stepped has a
+// decode cache but no superblock cache. Publishing it must not hand a
+// later adopter an empty superblock cache that its first Run indexes.
+func TestShareSteppedPublisher(t *testing.T) {
+	code := shareProg(t)
+	c := NewTextCache()
+
+	p1 := New(mips.Little, code, nil, TextBase)
+	for i := 0; i < 3; i++ {
+		if f := p1.StepOne(); f != nil {
+			t.Fatalf("step %d: %+v", i, f)
+		}
+	}
+	if !c.Publish(p1) {
+		t.Fatal("publish failed")
+	}
+
+	p2 := New(mips.Little, code, nil, TextBase)
+	if !c.Adopt(p2) {
+		t.Fatal("identical text did not adopt")
+	}
+	shareRun(t, p2)
+	if p2.Reg(mips.T0) != 20 {
+		t.Fatalf("adopter t0 = %d, want 20", p2.Reg(mips.T0))
+	}
+}

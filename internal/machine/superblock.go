@@ -86,24 +86,28 @@ type sblock struct {
 // the end of the segment, or maxBlockInsns. A nil return means the
 // entry instruction itself does not decode, and step() raises SIGILL.
 func (p *Process) buildBlock(s *Segment, off, pc uint32) *sblock {
-	var b sblock
-	for len(b.ops) < maxBlockInsns {
+	// The run is gathered on the stack and copied out once, at its
+	// final length.
+	var ops [maxBlockInsns]fusedOp
+	n, nbytes := 0, uint32(0)
+	for n < maxBlockInsns {
 		d := p.cached(s, off, pc)
 		if d == nil {
 			break
 		}
-		b.ops = append(b.ops, fuse(d, b.nbytes))
-		b.nbytes += d.Len
+		ops[n] = fuse(d, nbytes)
+		n++
+		nbytes += d.Len
 		off += d.Len
 		pc += d.Len
-		if d.Flags&arch.InsnTerm != 0 || off >= uint32(len(s.decoded)) {
+		if d.Flags&arch.InsnTerm != 0 || off >= uint32(len(s.Data)) {
 			break
 		}
 	}
-	if len(b.ops) == 0 {
+	if n == 0 {
 		return nil
 	}
-	return &b
+	return &sblock{ops: append([]fusedOp(nil), ops[:n]...), nbytes: nbytes}
 }
 
 // runFused executes from superblocks until something forces
@@ -119,27 +123,33 @@ func (p *Process) runFused(limit int64) *arch.Fault {
 	if s == nil {
 		return nil // unmapped pc: step() raises SIGSEGV
 	}
-	if s.sblocks == nil {
-		s.sblocks = make([]*sblock, len(s.Data))
+	// Empty, not just nil: adopting from a publisher that only stepped
+	// installs a zero-length superblock cache.
+	if len(s.sblocks) == 0 {
+		s.sblocks = make([]*sblock, p.slots(s))
 	}
 	steps := p.Steps
+	mask := uint32(1)<<p.slotShift - 1
 	var prev *sblock
 	for {
 		off := pc - s.Base
-		if off >= uint32(len(s.sblocks)) {
+		if off >= uint32(len(s.Data)) {
 			break // left the segment; the caller re-resolves
 		}
 		var b *sblock
 		if prev != nil && prev.succ != nil && prev.succPC == pc && prev.succGen == s.gen {
 			b = prev.succ
 		} else {
-			b = s.sblocks[off]
+			if off&mask != 0 {
+				break // off an instruction boundary: step() raises SIGILL
+			}
+			b = s.sblocks[off>>p.slotShift]
 			if b == nil {
 				b = p.buildBlock(s, off, pc)
 				if b == nil {
 					break // entry does not decode: step() raises SIGILL
 				}
-				s.sblocks[off] = b
+				s.sblocks[off>>p.slotShift] = b
 				p.Sim.Blocks++
 				p.Sim.BlockInsns += int64(len(b.ops))
 			}

@@ -192,8 +192,8 @@ func TestUopSemantics(t *testing.T) {
 				for _, warm := range []bool{false, true} {
 					p := New(a, make([]byte, 0x400), data, opPC)
 					s := p.textSeg(opPC)
-					s.sblocks = make([]*sblock, len(s.Data))
-					s.sblocks[textStore-TextBase] = &sblock{nbytes: 4}
+					s.sblocks = make([]*sblock, p.slots(s))
+					s.sblocks[(textStore-TextBase)>>p.slotShift] = &sblock{nbytes: 4}
 					for r, v := range c.regs {
 						p.SetReg(r, v)
 					}

@@ -2,12 +2,11 @@ package ps
 
 import "fmt"
 
-// dictKey is the comparable projection of an object used as a dictionary
-// key. Names and strings share key space (as in PostScript), and integer
-// and real keys with the same value collide, matching `eq`.
+// dictKey is the comparable projection of a key other than a name or a
+// string. Integer and real keys with the same value collide, matching
+// `eq`, and composite keys compare by identity.
 type dictKey struct {
 	kind Kind
-	s    string
 	n    float64
 	b    bool
 	p    any
@@ -15,8 +14,6 @@ type dictKey struct {
 
 func keyOf(o Object) (dictKey, error) {
 	switch o.Kind {
-	case KName, KString:
-		return dictKey{kind: KName, s: o.S}, nil
 	case KInt:
 		return dictKey{kind: KInt, n: float64(o.I)}, nil
 	case KReal:
@@ -38,37 +35,51 @@ func keyOf(o Object) (dictKey, error) {
 	}
 }
 
+func isText(o Object) bool { return o.Kind == KName || o.Kind == KString }
+
 type dictEntry struct {
 	key Object
 	val Object
 }
 
 // Dict is a PostScript dictionary. Iteration order is insertion order,
-// so `forall` and `==` are deterministic.
+// so `forall` and `==` are deterministic. Names and strings share key
+// space (as in PostScript) and are looked up by their text; every other
+// key goes through dictKey.
 type Dict struct {
-	m     map[dictKey]int
+	text  map[string]int
+	other map[dictKey]int // nil until a key that is not text is stored
 	items []dictEntry
 }
 
-// NewDict returns an empty dictionary. The capacity hint may be zero;
-// dictionaries grow without bound, as in Level-2 PostScript.
+// NewDict returns an empty dictionary with room for capacity entries.
+// The hint may be zero; dictionaries grow without bound, as in Level-2
+// PostScript.
 func NewDict(capacity int) *Dict {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Dict{m: make(map[dictKey]int, capacity)}
+	capacity = max(capacity, 0)
+	return &Dict{text: make(map[string]int, capacity), items: make([]dictEntry, 0, capacity)}
 }
 
 // Len returns the number of key/value pairs.
 func (d *Dict) Len() int { return len(d.items) }
 
-// Get looks up key; ok reports whether it was present.
-func (d *Dict) Get(key Object) (Object, bool) {
+// index returns the position of key's entry in d.items.
+func (d *Dict) index(key Object) (int, bool) {
+	if isText(key) {
+		i, ok := d.text[key.S]
+		return i, ok
+	}
 	k, err := keyOf(key)
 	if err != nil {
-		return Object{}, false
+		return 0, false
 	}
-	i, ok := d.m[k]
+	i, ok := d.other[k]
+	return i, ok
+}
+
+// Get looks up key; ok reports whether it was present.
+func (d *Dict) Get(key Object) (Object, bool) {
+	i, ok := d.index(key)
 	if !ok {
 		return Object{}, false
 	}
@@ -77,20 +88,22 @@ func (d *Dict) Get(key Object) (Object, bool) {
 
 // GetName looks up a name key given as a Go string.
 func (d *Dict) GetName(name string) (Object, bool) {
-	return d.Get(LitName(name))
+	i, ok := d.text[name]
+	if !ok {
+		return Object{}, false
+	}
+	return d.items[i].val, true
 }
 
 // Put stores val under key, replacing any existing binding.
 func (d *Dict) Put(key, val Object) error {
-	k, err := keyOf(key)
-	if err != nil {
-		return err
-	}
-	if i, ok := d.m[k]; ok {
+	if i, ok := d.index(key); ok {
 		d.items[i].val = val
 		return nil
 	}
-	d.m[k] = len(d.items)
+	if err := d.reindex(key, len(d.items)); err != nil {
+		return err
+	}
 	d.items = append(d.items, dictEntry{key: key, val: val})
 	return nil
 }
@@ -104,20 +117,42 @@ func (d *Dict) PutName(name string, val Object) {
 
 // Undef removes key if present.
 func (d *Dict) Undef(key Object) {
-	k, err := keyOf(key)
-	if err != nil {
-		return
-	}
-	i, ok := d.m[k]
+	i, ok := d.index(key)
 	if !ok {
 		return
 	}
-	delete(d.m, k)
+	// key and every stored key are valid keys, so reindex cannot fail.
+	d.reindex(key, -1)
 	d.items = append(d.items[:i], d.items[i+1:]...)
 	for j := i; j < len(d.items); j++ {
-		kj, _ := keyOf(d.items[j].key)
-		d.m[kj] = j
+		d.reindex(d.items[j].key, j)
 	}
+}
+
+// reindex records that key's entry is at position i of d.items, or
+// forgets key when i is negative.
+func (d *Dict) reindex(key Object, i int) error {
+	if isText(key) {
+		if i < 0 {
+			delete(d.text, key.S)
+		} else {
+			d.text[key.S] = i
+		}
+		return nil
+	}
+	k, err := keyOf(key)
+	if err != nil {
+		return err
+	}
+	if i < 0 {
+		delete(d.other, k)
+		return nil
+	}
+	if d.other == nil {
+		d.other = make(map[dictKey]int)
+	}
+	d.other[k] = i
+	return nil
 }
 
 // Keys returns the keys in insertion order.

@@ -2,7 +2,9 @@ package ps
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -380,12 +382,33 @@ func TestComments(t *testing.T) {
 }
 
 func TestScannerErrors(t *testing.T) {
-	for _, src := range []string{"(unterminated", "{ unterminated", ")", "}", ">"} {
+	for _, c := range []struct {
+		src  string
+		line int // for an unterminated string or procedure, the line of EOF
+	}{
+		{"(unterminated", 1},
+		{"{ unterminated", 1},
+		{")", 1},
+		{"}", 1},
+		{">", 1},
+		{"(two\\nlines)\n(unterminated\nstring\n", 4},
+		{"(a\nb)\n(unterminated\nc\n", 5},
+		{"(escape at EOF\\", 1},
+		{"(continued\\\n\\", 2},
+		{"1\n2\n}", 3},
+		{"\n<x", 2},
+		{"\n>\n", 2},
+		{"{\n1\n", 3},
+		{"% comment )\n)", 2},
+	} {
 		in := New()
-		err := in.RunString(src)
+		err := in.RunString(c.src)
 		var pe *Error
 		if !errors.As(err, &pe) || pe.Name != "syntaxerror" {
-			t.Fatalf("eval(%q): err = %v, want syntaxerror", src, err)
+			t.Fatalf("eval(%q): err = %v, want syntaxerror", c.src, err)
+		}
+		if want := fmt.Sprintf("<string>:%d: ", c.line); !strings.HasPrefix(pe.Cmd, want) {
+			t.Errorf("eval(%q): error %q, want it reported at %s", c.src, pe.Cmd, want)
 		}
 	}
 }
@@ -416,6 +439,24 @@ func TestBind(t *testing.T) {
 	}
 	if in.Stack[len(in.Stack)-1].I != 3 {
 		t.Fatalf("bind did not freeze operator: %v", in.Stack)
+	}
+}
+
+// TestDictOperandIsOnlyAHint pins that `dict` preallocates a bounded
+// amount, however many entries an untrusted table asks for.
+func TestDictOperandIsOnlyAHint(t *testing.T) {
+	in := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := in.RunString("/d 1000000 dict def d /k 1 put d length"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("1000000 dict allocated %d bytes", got)
+	}
+	if n, err := in.PopInt("length"); err != nil || n != 1 {
+		t.Fatalf("length = %d, %v; want 1", n, err)
 	}
 }
 

@@ -557,13 +557,18 @@ func registerControlOps(in *Interp) {
 	})
 }
 
+// maxDictHint caps the size the `dict` operator preallocates.
+const maxDictHint = 1 << 12
+
 func registerDictOps(in *Interp) {
 	in.Register("dict", func(in *Interp) error {
 		n, err := in.PopInt("dict")
 		if err != nil {
 			return err
 		}
-		in.Push(DictObj(NewDict(int(n))))
+		// The operand is only a hint, and an untrusted one: a table
+		// asking for a billion entries gets a dictionary that grows.
+		in.Push(DictObj(NewDict(int(min(n, maxDictHint)))))
 		return nil
 	})
 	in.Register("<<", func(in *Interp) error {
@@ -571,23 +576,25 @@ func registerDictOps(in *Interp) {
 		return nil
 	})
 	in.Register(">>", func(in *Interp) error {
-		var pairs []Object
-		for {
-			o, err := in.Pop()
-			if err != nil {
-				return &Error{Name: "unmatchedmark", Cmd: ">>"}
-			}
-			if o.Kind == KMark {
-				break
-			}
-			pairs = append(pairs, o)
+		// Count to the mark first, so the dictionary is allocated once
+		// at its final size. The operands and the mark leave the stack
+		// whether or not the dictionary can be built.
+		m := len(in.Stack) - 1
+		for m >= 0 && in.Stack[m].Kind != KMark {
+			m--
 		}
+		if m < 0 {
+			in.Stack = in.Stack[:0]
+			return &Error{Name: "unmatchedmark", Cmd: ">>"}
+		}
+		pairs := in.Stack[m+1:]
+		in.Stack = in.Stack[:m]
 		if len(pairs)%2 != 0 {
 			return &Error{Name: "rangecheck", Cmd: ">> (odd number of operands)"}
 		}
 		d := NewDict(len(pairs) / 2)
-		for i := len(pairs) - 1; i > 0; i -= 2 {
-			if err := d.Put(pairs[i], pairs[i-1]); err != nil {
+		for i := 0; i < len(pairs); i += 2 {
+			if err := d.Put(pairs[i], pairs[i+1]); err != nil {
 				return err
 			}
 		}
