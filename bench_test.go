@@ -711,6 +711,54 @@ func BenchmarkBreakpointHit(b *testing.B) {
 	}
 }
 
+// BenchmarkSourceStep times source-level steps (§7.1) of the 500-line
+// program on mips, stopped in its last procedure: each step plants a
+// temporary breakpoint at every stopping point the program has,
+// continues, and removes them, so it crosses the breakpoint layer, the
+// client's memory cache and the simulator's text invalidation hundreds
+// of times. A target that steps to its exit is replaced, untimed.
+func BenchmarkSourceStep(b *testing.B) {
+	prog := buildFor(b, "mips", "big.c", workload.Big(500), true, false)
+	start := func() *core.Target {
+		client, _, _, err := nub.Launch(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := core.New(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tgt, err := d.AttachClient("big", client, prog.LoaderPS)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tgt.BreakProc("work29"); err != nil {
+			b.Fatal(err)
+		}
+		if ev, err := tgt.ContinueToBreakpoint(); err != nil || ev.Exited {
+			b.Fatalf("continue to work29: %v %v", ev, err)
+		}
+		return tgt
+	}
+	tgt := start()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := tgt.Step()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ev.Exited {
+			b.StopTimer()
+			tgt.Client.Close()
+			tgt = start()
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	tgt.Kill()
+}
+
 // --- wire transport: round trips and bytes per debug scenario ---
 
 // wireScenario is one breakpoint-plant + frame-walk cycle: plant a

@@ -14,17 +14,24 @@ import (
 // layer whose special case is the conditional breakpoint.
 
 // allStopAddrs realizes the code address of every stopping point in
-// the program (memoized per stop by stopLoc's replacement).
+// the program. The list is computed once per target and kept when every
+// location in it was frame-independent — the rule by which stopLoc
+// memoizes each one — since then no later stop can realize it
+// differently; the caller must not modify it.
 func (t *Target) allStopAddrs() ([]uint32, error) {
 	if t.Degraded() {
 		return nil, ErrNoSymbols
 	}
 	t.ensureCurrent()
+	if t.stops != nil {
+		return t.stops, nil
+	}
 	procs, ok := t.Table.Top.GetName("procs")
 	if !ok || procs.Kind != ps.KArray {
 		return nil, fmt.Errorf("core: no procs array")
 	}
 	var out []uint32
+	fixed := true
 	for _, pref := range procs.A.E {
 		if pref.Kind != ps.KName && pref.Kind != ps.KString {
 			continue
@@ -38,12 +45,17 @@ func (t *Target) allStopAddrs() ([]uint32, error) {
 			return nil, err
 		}
 		for i := range stops {
-			addr, err := t.stopLoc(&stops[i])
+			s := &stops[i]
+			fixed = fixed && (s.Where.Kind == ps.KExt || frameIndependent(s.Where))
+			addr, err := t.stopLoc(s)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, addr)
 		}
+	}
+	if fixed {
+		t.stops = out
 	}
 	return out, nil
 }

@@ -83,6 +83,59 @@ int main() {
 	}
 }
 
+// TestStepStopListPerTarget steps two targets of one debugger in turn,
+// each a different program on a different machine, and checks that
+// every step stops where stepping that target alone does: each target
+// keeps its own stopping-point list, and stepping still switches the
+// debugger to the target it steps.
+func TestStepStopListPerTarget(t *testing.T) {
+	progs := []struct{ arch, file, src string }{
+		{"mips", "fib.c", fibC},
+		{"vax", "next.c", `
+int helper(int x) { int h; h = x * 2; return h; }
+int main() { int a; a = helper(1); a = a + helper(2); return a; }
+`},
+	}
+	const steps = 12
+	start := func(d *Debugger, k int) *Target {
+		tgt := launch(t, d, progs[k].arch, progs[k].file, progs[k].src)
+		if _, err := tgt.BreakProc("main"); err != nil {
+			t.Fatal(err)
+		}
+		if ev, err := tgt.ContinueToBreakpoint(); err != nil || ev.Exited {
+			t.Fatalf("%v %v", ev, err)
+		}
+		if err := tgt.Bpts.RemoveAll(); err != nil {
+			t.Fatal(err)
+		}
+		return tgt
+	}
+	step := func(tgt *Target) uint32 {
+		ev, err := tgt.Step()
+		if err != nil || ev.Exited {
+			t.Fatalf("%s: step: %v %v", tgt.Name, ev, err)
+		}
+		return ev.PC
+	}
+	var alone [2][]uint32
+	for k := range progs {
+		d, _ := New(&strings.Builder{})
+		tgt := start(d, k)
+		for range steps {
+			alone[k] = append(alone[k], step(tgt))
+		}
+	}
+	d, _ := New(&strings.Builder{})
+	tgts := []*Target{start(d, 0), start(d, 1)}
+	for i := range steps {
+		for k, tgt := range tgts {
+			if pc := step(tgt); pc != alone[k][i] {
+				t.Fatalf("%s: step %d stopped at %#x, alone at %#x", tgt.Name, i, pc, alone[k][i])
+			}
+		}
+	}
+}
+
 func TestNextTreatsCallsAsAtomic(t *testing.T) {
 	src := `
 int helper(int x) { int h; h = x * 2; return h; }

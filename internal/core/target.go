@@ -44,6 +44,7 @@ type Target struct {
 	exprScope   uint64 // pc+frame of the last Eval; a change flushes frame bindings
 	exprTrace   func(dir, line string)
 	conds       map[uint32]string // breakpoint conditions by address
+	stops       []uint32          // every stopping point's address, once known fixed (allStopAddrs)
 
 	// Stdout, when set by the embedder, points at the target process's
 	// collected output (the in-process "child" arrangement).

@@ -41,6 +41,12 @@ type Segment struct {
 	// fused instructions. See superblock.go.
 	sblocks []*sblock
 	gen     uint64
+	// maxBlock is an upper bound on the byte span of every block ever
+	// installed in sblocks, raised wherever one is installed (runFused
+	// and TextCache.Adopt): no block starting further than maxBlock-1
+	// bytes before a write can cover it, so invalidation looks back only
+	// that far. A bound that is too high only costs sweep time.
+	maxBlock uint32
 	// shadow, when armed by EnableCheckpoints, tracks dirty pages so a
 	// checkpoint forks O(dirty pages), not O(memory). See checkpoint.go.
 	shadow *amem.Shadow

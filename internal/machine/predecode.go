@@ -166,7 +166,8 @@ func (p *Process) cached(s *Segment, off, pc uint32) *arch.DecodedInsn {
 // instruction starts at most maxInsnBytes-1 before the written range,
 // but a superblock spans a whole fused run, so a store landing
 // mid-block — a breakpoint plant or unplant included — must drop the
-// entire entry, and the block scan looks back maxBlockBytes-1.
+// entire entry, and the block scan looks back as far as the longest
+// block installed in the segment (Segment.maxBlock) less one byte.
 // Dropping any block bumps the segment generation, which severs
 // predicted-successor links and aborts a block caught mid-execution.
 // Segments never executed from carry no caches and cost two nil checks.
@@ -210,7 +211,7 @@ func (p *Process) invalidateCaches(s *Segment, addr uint32, n int) {
 		}
 	}
 	if s.sblocks != nil {
-		start := max(int(lo)-(maxBlockBytes-1), 0) >> sh
+		start := max(int(lo)-(int(s.maxBlock)-1), 0) >> sh
 		end := min(last+1, len(s.sblocks))
 		dropped := false
 		for i := start; i < end; i++ {

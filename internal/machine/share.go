@@ -88,6 +88,7 @@ func (c *TextCache) Adopt(p *Process) bool {
 	for i, t := range st.blocks {
 		if t != nil {
 			s.sblocks[i] = &sblock{ops: t.ops, nbytes: t.nbytes}
+			s.maxBlock = max(s.maxBlock, t.nbytes)
 		}
 	}
 	s.gen = 0

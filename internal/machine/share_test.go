@@ -212,3 +212,43 @@ func TestShareSteppedPublisher(t *testing.T) {
 		t.Fatalf("adopter t0 = %d, want 20", p2.Reg(mips.T0))
 	}
 }
+
+// TestShareAdoptedBlockPlantMidBlock: an adopter that plants inside a
+// multi-instruction adopted block before it first runs must trap at the
+// plant. The adopter has built no block of its own, so only the blocks
+// it adopted tell invalidation how far back a write can land inside
+// one; a lookback that ignored them would leave the straight-line block
+// from the entry in place, and the run would miss the trap.
+func TestShareAdoptedBlockPlantMidBlock(t *testing.T) {
+	m := mips.Little
+	as := mips.NewAsm(m)
+	for k := int32(1); k <= 4; k++ {
+		as.I(mips.OpAddiu, mips.T0, mips.T0, k)
+	}
+	as.Break(3)
+	code, _, err := as.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewTextCache()
+	p1 := New(m, code, nil, TextBase)
+	shareRun(t, p1)
+	if s := p1.SimStats(); s.Blocks != 1 || s.BlockInsns != 5 {
+		t.Fatalf("publisher formed %d blocks of %d instructions, want one of 5", s.Blocks, s.BlockInsns)
+	}
+	c.Publish(p1)
+
+	p2 := New(m, code, nil, TextBase)
+	if !c.Adopt(p2) {
+		t.Fatal("adopt failed")
+	}
+	if err := p2.WriteBytes(TextBase+8, m.BreakInstr()); err != nil {
+		t.Fatal(err)
+	}
+	if f := p2.Run(); f == nil || f.Code != arch.TrapBreakpoint || f.PC != TextBase+8 {
+		t.Fatalf("planted adopter: %+v, want the breakpoint at %#x", f, TextBase+8)
+	}
+	if got := p2.Reg(mips.T0); got != 1+2 {
+		t.Fatalf("t0 = %d at the plant, want 3", got)
+	}
+}

@@ -36,10 +36,6 @@ import (
 // instructions and keeps invalidation lookback bounded.
 const maxBlockInsns = 64
 
-// maxBlockBytes bounds how many bytes before a written address a
-// superblock may start and still cover it (see invalidate).
-const maxBlockBytes = maxBlockInsns * maxInsnBytes
-
 // execFn is the predecoded handler signature, named so block slices
 // stay readable.
 type execFn func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)
@@ -150,6 +146,7 @@ func (p *Process) runFused(limit int64) *arch.Fault {
 					break // entry does not decode: step() raises SIGILL
 				}
 				s.sblocks[off>>p.slotShift] = b
+				s.maxBlock = max(s.maxBlock, b.nbytes)
 				p.Sim.Blocks++
 				p.Sim.BlockInsns += int64(len(b.ops))
 			}

@@ -2,6 +2,7 @@ package nub
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -237,6 +238,80 @@ func TestDecodeBatchMalformed(t *testing.T) {
 	}
 }
 
+// idempotentByDecoding is what reqIdempotent answers for an envelope,
+// stated by decoding it: false for anything DecodeBatch rejects, else
+// whether every member's kind is an idempotent request.
+func idempotentByDecoding(env *Msg) bool {
+	msgs, err := DecodeBatch(env)
+	if err != nil {
+		return false
+	}
+	for _, m := range msgs {
+		if !kindIdempotent(m.Kind) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReqIdempotentWalksHeaders checks that reqIdempotent, which walks
+// the member headers in place, agrees with decoding the envelope, and
+// allocates nothing doing so.
+func TestReqIdempotentWalksHeaders(t *testing.T) {
+	fetches := []*Msg{
+		{Kind: MFetchInt, Space: byte(amem.Data), Addr: 16, Size: 4},
+		{Kind: MFetchBytes, Space: byte(amem.Code), Addr: 32, Size: 4},
+		{Kind: MFetchLine, Space: byte(amem.Data), Addr: 0, Size: 256},
+		{Kind: MListPlanted},
+	}
+	plant := &Msg{Kind: MPlantStore, Space: byte(amem.Code), Addr: 32, Data: []byte{0, 0, 0, 13}}
+	all := encodeMembers(t, fetches...)
+	mixed := encodeMembers(t, fetches[0], fetches[1], plant, fetches[2])
+	huge := encodeMembers(t, fetches[0])
+	binary.LittleEndian.PutUint32(huge[27:], maxDataLen+1)
+	n := uint64(len(fetches))
+	cases := []struct {
+		name string
+		env  *Msg
+		want bool
+	}{
+		{"all fetches", &Msg{Kind: MBatch, Val: n, Data: all}, true},
+		{"one plant among fetches", &Msg{Kind: MBatch, Val: n, Data: mixed}, false},
+		{"truncated member", &Msg{Kind: MBatch, Val: n, Data: all[:len(all)-1]}, false},
+		{"truncated header", &Msg{Kind: MBatch, Val: 1, Data: all[:30]}, false},
+		{"trailing bytes", &Msg{Kind: MBatch, Val: n, Data: append(all[:len(all):len(all)], 0)}, false},
+		{"count exceeds members", &Msg{Kind: MBatch, Val: n + 1, Data: all}, false},
+		{"count 0", &Msg{Kind: MBatch, Val: 0, Data: all}, false},
+		{"count above MaxBatch", &Msg{Kind: MBatch, Val: MaxBatch + 1, Data: all}, false},
+		{"nested envelope", &Msg{Kind: MBatch, Val: 1,
+			Data: encodeMembers(t, &Msg{Kind: MBatch, Val: n, Data: all})}, false},
+		{"nested reply", &Msg{Kind: MBatch, Val: 1,
+			Data: encodeMembers(t, &Msg{Kind: MBatchReply, Val: n, Data: all})}, false},
+		{"member over the payload limit", &Msg{Kind: MBatch, Val: 1, Data: huge}, false},
+		{"reply envelope", &Msg{Kind: MBatchReply, Val: n, Data: all}, false},
+		{"plain fetch", fetches[0], true},
+		{"plain plant", plant, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := reqIdempotent(tc.env)
+			if got != tc.want {
+				t.Errorf("reqIdempotent = %v, want %v", got, tc.want)
+			}
+			if tc.env.Kind == MBatch {
+				if dec := idempotentByDecoding(tc.env); got != dec {
+					t.Errorf("reqIdempotent = %v, but decoding the envelope says %v", got, dec)
+				}
+			}
+		})
+	}
+	for _, env := range []*Msg{cases[0].env, cases[1].env} {
+		if a := testing.AllocsPerRun(100, func() { reqIdempotent(env) }); a != 0 {
+			t.Errorf("reqIdempotent allocated %v times per call, want 0", a)
+		}
+	}
+}
+
 // TestEncodeBatchLimits checks the encoder refuses what the decoder
 // would reject.
 func TestEncodeBatchLimits(t *testing.T) {
@@ -264,8 +339,9 @@ func TestEncodeBatchLimits(t *testing.T) {
 }
 
 // FuzzDecodeBatch fuzzes the envelope decoder: arbitrary payloads and
-// counts must produce errors, never panics, and a successful decode
-// must yield exactly the advertised member count.
+// counts must produce errors, never panics, a successful decode must
+// yield exactly the advertised member count, and reqIdempotent's header
+// walk must agree with the decode.
 func FuzzDecodeBatch(f *testing.F) {
 	fetch := &Msg{Kind: MFetchInt, Space: byte(amem.Data), Addr: 16, Size: 4}
 	var buf bytes.Buffer
@@ -277,12 +353,17 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(uint32(1), one[:len(one)-3])
 	f.Add(uint32(600), bytes.Repeat(one, 3))
 	f.Add(uint32(7), bytes.Repeat([]byte{0x41}, 64))
+	_ = WriteMsg(&buf, &Msg{Kind: MPlantStore, Space: byte(amem.Code), Addr: 32, Data: []byte{0, 0, 0, 13}})
+	f.Add(uint32(2), buf.Bytes()) // a fetch and a plant
 	f.Fuzz(func(t *testing.T, count uint32, payload []byte) {
 		for _, kind := range []MsgKind{MBatch, MBatchReply} {
 			env := &Msg{Kind: kind, Val: uint64(count), Data: payload}
 			msgs, err := DecodeBatch(env)
 			if err == nil && len(msgs) != int(count) {
 				t.Fatalf("decoded %d members, envelope said %d", len(msgs), count)
+			}
+			if kind == MBatch && reqIdempotent(env) != idempotentByDecoding(env) {
+				t.Fatalf("reqIdempotent = %v, decoding says %v", reqIdempotent(env), idempotentByDecoding(env))
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package nub
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"ldb/internal/amem"
@@ -18,6 +19,15 @@ import (
 // Values are byte images in the target's own order; FetchInt requests
 // are served by decoding with the target's byte order, exactly what the
 // nub's own Load does on the other end of the wire.
+//
+// Each space's ranges are kept sorted by address, disjoint and
+// non-adjacent (a range ends strictly before the next begins), so every
+// operation finds the ranges it touches by binary search and splices
+// them in place. bytes is a running total of the cached payload.
+// A source-level step plants and removes hundreds of temporaries, each
+// a fetch, a patch and an invalidation here, so an operation costs
+// O(log n) plus the ranges it merges or evicts, never a walk of the
+// whole cache.
 type memCache struct {
 	spaces map[amem.Space][]cacheRange
 	bytes  int // total cached payload, to bound growth
@@ -41,11 +51,25 @@ func newMemCache() *memCache {
 	return &memCache{spaces: make(map[amem.Space][]cacheRange)}
 }
 
+// search returns the index of the first range ending after addr: the
+// only range that can hold addr, or where a range holding it belongs.
+func search(ranges []cacheRange, addr uint64) int {
+	return sort.Search(len(ranges), func(k int) bool { return ranges[k].end() > addr })
+}
+
+// span returns the half-open index interval [i, j) of the ranges that
+// overlap [lo, hi).
+func span(ranges []cacheRange, lo, hi uint64) (i, j int) {
+	i = search(ranges, lo)
+	j = i + sort.Search(len(ranges)-i, func(k int) bool { return uint64(ranges[i+k].addr) >= hi })
+	return i, j
+}
+
 // lookup returns the cached bytes for [addr, addr+n) if some single
 // range holds them all.
 func (c *memCache) lookup(space amem.Space, addr uint32, n int) ([]byte, bool) {
 	ranges := c.spaces[space]
-	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].end() > uint64(addr) })
+	i := search(ranges, uint64(addr))
 	if i == len(ranges) || ranges[i].addr > addr || uint64(addr)+uint64(n) > ranges[i].end() {
 		return nil, false
 	}
@@ -63,83 +87,68 @@ func (c *memCache) insert(space amem.Space, addr uint32, data []byte) {
 	if c.bytes+len(data) > maxCacheBytes {
 		c.reset()
 	}
-	nr := cacheRange{addr: addr, data: append([]byte(nil), data...)}
 	ranges := c.spaces[space]
-	var merged []cacheRange
-	for _, r := range ranges {
-		switch {
-		case r.end() < uint64(nr.addr) || uint64(r.addr) > nr.end():
-			merged = append(merged, r) // disjoint, not even adjacent
-		default:
-			// Overlapping or adjacent: fold r into nr, with nr's bytes
-			// winning where they overlap (they are newer).
-			lo := min(r.addr, nr.addr)
-			hi := max(r.end(), nr.end())
-			buf := make([]byte, hi-uint64(lo))
-			copy(buf[r.addr-lo:], r.data)
-			copy(buf[nr.addr-lo:], nr.data)
-			nr = cacheRange{addr: lo, data: buf}
-		}
+	end := uint64(addr) + uint64(len(data))
+	// Widened by a byte each way, the span takes in the ranges that end
+	// at addr or start at end as well, which are folded in too.
+	i, j := span(ranges, max(uint64(addr), 1)-1, end+1)
+	if i == j {
+		c.spaces[space] = slices.Insert(ranges, i, cacheRange{addr: addr, data: append([]byte(nil), data...)})
+		c.bytes += len(data)
+		return
 	}
-	merged = append(merged, nr)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].addr < merged[j].addr })
-	c.spaces[space] = merged
-	c.recount()
+	// Fold ranges[i:j] and the new bytes into one run, with the new
+	// bytes winning where they overlap (they are newer).
+	lo := min(ranges[i].addr, addr)
+	buf := make([]byte, max(ranges[j-1].end(), end)-uint64(lo))
+	for _, r := range ranges[i:j] {
+		copy(buf[r.addr-lo:], r.data)
+		c.bytes -= len(r.data)
+	}
+	copy(buf[addr-lo:], data)
+	c.bytes += len(buf)
+	c.spaces[space] = slices.Replace(ranges, i, j, cacheRange{addr: lo, data: buf})
 }
 
-// patch applies a store to the cached copy: ranges fully covering the
-// write are updated in place; ranges partially overlapping it are
+// patch applies a store to the cached copy: a range fully covering the
+// write is updated in place; ranges partially overlapping it are
 // evicted (correct and simpler than splitting).
 func (c *memCache) patch(space amem.Space, addr uint32, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	end := uint64(addr) + uint64(len(data))
 	ranges := c.spaces[space]
-	var kept []cacheRange
-	for _, r := range ranges {
-		switch {
-		case r.end() <= uint64(addr) || uint64(r.addr) >= end:
-			kept = append(kept, r)
-		case r.addr <= addr && r.end() >= end:
-			copy(r.data[addr-r.addr:], data)
-			kept = append(kept, r)
-		default:
-			// partial overlap: evict
-		}
+	end := uint64(addr) + uint64(len(data))
+	i, j := span(ranges, uint64(addr), end)
+	if j-i == 1 && ranges[i].addr <= addr && ranges[i].end() >= end {
+		copy(ranges[i].data[addr-ranges[i].addr:], data)
+		return
 	}
-	c.spaces[space] = kept
-	c.recount()
+	c.evict(space, ranges, i, j)
 }
 
 // invalidate evicts every range overlapping [addr, addr+n).
 func (c *memCache) invalidate(space amem.Space, addr uint32, n int) {
-	end := uint64(addr) + uint64(n)
 	ranges := c.spaces[space]
-	var kept []cacheRange
-	for _, r := range ranges {
-		if r.end() <= uint64(addr) || uint64(r.addr) >= end {
-			kept = append(kept, r)
-		}
+	i, j := span(ranges, uint64(addr), uint64(addr)+uint64(n))
+	c.evict(space, ranges, i, j)
+}
+
+// evict drops ranges[i:j] from space.
+func (c *memCache) evict(space amem.Space, ranges []cacheRange, i, j int) {
+	if i == j {
+		return
 	}
-	c.spaces[space] = kept
-	c.recount()
+	for _, r := range ranges[i:j] {
+		c.bytes -= len(r.data)
+	}
+	c.spaces[space] = slices.Delete(ranges, i, j)
 }
 
 // reset drops everything — called when the target resumes.
 func (c *memCache) reset() {
 	c.spaces = make(map[amem.Space][]cacheRange)
 	c.bytes = 0
-}
-
-func (c *memCache) recount() {
-	c.bytes = 0
-	//ldb:allow detstate commutative sum: the total is the same in any iteration order
-	for _, ranges := range c.spaces {
-		for _, r := range ranges {
-			c.bytes += len(r.data)
-		}
-	}
 }
 
 // serveInt decodes a cached integer in the target's byte order. Sizes

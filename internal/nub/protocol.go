@@ -298,21 +298,37 @@ func readMsgRest(first byte, r io.Reader) (*Msg, error) {
 // listings may be replayed freely, but stores, plants, and the control
 // messages must not be (a replayed continue would run the target
 // twice). The kind table is the source of truth; an MBatch envelope is
-// idempotent exactly when every member is.
+// idempotent exactly when DecodeBatch would accept it and every member
+// is. The client asks this of every envelope it writes, so the members
+// are not decoded: their headers are walked in place, reading only the
+// kind (byte 0) and the payload length (bytes 27–30).
 func reqIdempotent(m *Msg) bool {
-	if m.Kind == MBatch {
-		subs, err := DecodeBatch(m)
-		if err != nil {
+	if m.Kind != MBatch {
+		return kindIdempotent(m.Kind)
+	}
+	if m.Val == 0 || m.Val > MaxBatch {
+		return false
+	}
+	const hdrLen = 27 + 4 // WriteMsg's header and payload length
+	data := m.Data
+	for range m.Val {
+		if len(data) < hdrLen {
 			return false
 		}
-		for _, sub := range subs {
-			if !reqIdempotent(sub) {
-				return false
-			}
+		// A nested envelope fails here too: neither envelope kind is an
+		// idempotent request.
+		n := binary.LittleEndian.Uint32(data[27:])
+		if !kindIdempotent(MsgKind(data[0])) || n > maxDataLen || uint64(n) > uint64(len(data)-hdrLen) {
+			return false
 		}
-		return true
+		data = data[hdrLen+int(n):]
 	}
-	info, ok := kinds[m.Kind]
+	return len(data) == 0
+}
+
+// kindIdempotent reads k's row of the kind table.
+func kindIdempotent(k MsgKind) bool {
+	info, ok := kinds[k]
 	return ok && info.request && info.idempotent
 }
 

@@ -60,6 +60,7 @@ func FuzzScanSources(f *testing.F) {
 		"1\n>",
 		"1\n>x",
 		"1 2 add % a comment at EOF",
+		"{ 1 % c\n }", // a comment before a procedure's closing brace
 	} {
 		f.Add(src)
 	}

@@ -379,6 +379,7 @@ vax begin Endian end
 func TestComments(t *testing.T) {
 	wantInt(t, "1 % a comment\n2 add", 3)
 	wantInt(t, "% only a comment\n5", 5)
+	wantInt(t, "{ 1 % c\n } exec", 1)
 }
 
 func TestScannerErrors(t *testing.T) {
@@ -400,6 +401,7 @@ func TestScannerErrors(t *testing.T) {
 		{"\n>\n", 2},
 		{"{\n1\n", 3},
 		{"% comment )\n)", 2},
+		{"{ 1 % c\n }\n}", 3}, // a comment before a closing brace still counts its line
 	} {
 		in := New()
 		err := in.RunString(c.src)

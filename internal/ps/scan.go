@@ -319,6 +319,12 @@ func (s *Scanner) scanProc() (Object, error) {
 		case class[c]&cSpace != 0:
 			s.pos++
 			continue
+		case c == '%':
+			// Skipped here, not by Next: after the comment Next would
+			// meet this procedure's closing brace as an unmatched one.
+			s.pos++
+			s.skipComment()
+			continue
 		case c == '}':
 			s.pos++
 			return Proc(elems...), nil
