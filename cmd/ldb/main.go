@@ -493,32 +493,19 @@ func command(d *core.Debugger, line string) bool {
 			return false
 		}
 		say("%s", t.Client.Stats())
-		if st, err := t.Client.SimStats(); err != nil {
-			say("sim: %v", err)
-		} else {
-			say("sim: %d instructions, %d decode-cache hits, %d decodes, %d invalidations, %d fallbacks",
-				st.Steps, st.Hits, st.Decodes, st.Invalidations, st.Fallbacks)
-			if st.Blocks > 0 {
-				say("sim: %d superblocks, %d instructions fused (%.1f per block)",
-					st.Blocks, st.BlockInsns, float64(st.BlockInsns)/float64(st.Blocks))
-			}
+		// Then the endpoint's counters, one line per group: nub and sim,
+		// and service when the endpoint is a debug service.
+		ms, err := t.Client.Metrics()
+		if err != nil {
+			say("metrics: %v", err)
 		}
-		if st, err := t.Client.ServerStats(); err != nil {
-			say("server: %v", err)
-		} else {
-			say("server: %d recovered panics, %d malformed frames, %d oversize rejects, %d slow reads, %d ctx faults",
-				st.RecoveredPanics, st.MalformedFrames, st.OversizeRejects, st.SlowReads, st.CtxFaults)
-		}
-		// And the service health line, when the endpoint is a
-		// session-multiplexed debug service rather than a plain nub.
-		if t.Client.Sessions() {
-			if st, err := t.Client.ServiceStats(); err != nil {
-				say("service: %v", err)
-			} else {
-				say("service: %d/%d sessions live/peak, %d opened, %d evicted, shared decode cache %d hits / %d misses, %d session / %d total requests",
-					st.Live, st.Peak, st.Opened, st.Evicted, st.SharedHits, st.SharedMisses, st.SessionRequests, st.TotalRequests)
-				say("crash-only: %d passivated, %d resurrected, %d rollbacks",
-					st.Passivated, st.Resurrected, st.Rollbacks)
+		var line []string
+		for i, m := range ms {
+			g, name, _ := strings.Cut(m.Name, ".")
+			line = append(line, fmt.Sprintf("%s=%d", name, m.Value))
+			if i+1 == len(ms) || !strings.HasPrefix(ms[i+1].Name, g+".") {
+				say("%s: %s", g, strings.Join(line, " "))
+				line = nil
 			}
 		}
 	case "wire":

@@ -158,8 +158,11 @@ func TestREPLWireCommand(t *testing.T) {
 	if out := run("wire retry 0"); !strings.Contains(out, "bad retry count") {
 		t.Fatalf("bad retry: %q", out)
 	}
-	if out := run("stats"); !strings.Contains(out, "robustness") {
-		t.Fatalf("stats without robustness line: %q", out)
+	out := run("stats")
+	for _, line := range []string{"robustness", "\nnub: ", "\nsim: "} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("stats without a %q line: %q", strings.TrimSpace(line), out)
+		}
 	}
 }
 

@@ -5,10 +5,9 @@
 // wire layer), recoverguard (nub handlers run under panic containment),
 // lockorder (declared //ldb:lock ranks are acquired in increasing
 // order, no cycles), atomicity (fields touched through sync/atomic are
-// never accessed plainly), detstate (//ldb:deterministic call trees
-// stay replay-deterministic), and wirecompat (//ldb:wire-body reply
-// structs are append-only with symmetric codecs). It exits 1 if any
-// finding is not suppressed by a //ldb:allow annotation.
+// never accessed plainly), and detstate (//ldb:deterministic call
+// trees stay replay-deterministic). It exits 1 if any finding is not
+// suppressed by a //ldb:allow annotation.
 //
 // Usage:
 //

@@ -11,7 +11,7 @@ import (
 type Diagnostic struct {
 	// Analyzer is the reporting analyzer: "machdep", "wireproto",
 	// "endian", "recoverguard", "lockorder", "atomicity", "detstate",
-	// "wirecompat", or "allow" for annotation hygiene.
+	// or "allow" for annotation hygiene.
 	Analyzer string `json:"analyzer"`
 	// Path is the offending file, relative to the module root.
 	Path string `json:"path"`
@@ -78,11 +78,6 @@ func Suite() []*Analyzer {
 			Doc:  "functions reachable from //ldb:deterministic roots avoid map-order, time, rand, %p, and live concurrent state",
 			Run:  runDetstate,
 		},
-		{
-			Name: "wirecompat",
-			Doc:  "//ldb:wire-body reply structs are append-only with frozen offsets and symmetric encoders/decoders",
-			Run:  runWirecompat,
-		},
 	}
 }
 
@@ -97,8 +92,7 @@ type allowDirective struct {
 
 // directivePrefix introduces all of the suite's magic comments
 // (//ldb:allow, //ldb:target, //ldb:kind-table, //ldb:dispatch-table,
-// //ldb:contain, //ldb:lock, //ldb:deterministic, //ldb:wire-body,
-// //ldb:off).
+// //ldb:contain, //ldb:lock, //ldb:deterministic).
 const directivePrefix = "//ldb:"
 
 // fileDirectives scans a file's comments for //ldb: directives with the

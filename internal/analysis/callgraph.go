@@ -10,14 +10,12 @@ import (
 
 // This file is the shared infrastructure for the whole-module analyzers
 // added with the concurrency/determinism suite (lockorder, atomicity,
-// detstate, wirecompat): an index of every function declared in the
-// module, a direct static call graph over it, and the parsers for the
-// annotation grammar those analyzers consume:
+// detstate): an index of every function declared in the module, a
+// direct static call graph over it, and the parsers for the annotation
+// grammar those analyzers consume:
 //
 //	//ldb:lock <name> <rank>          on a mutex field or package var
 //	//ldb:deterministic               on a function declaration
-//	//ldb:wire-body <name> size=N     on a struct type
-//	//ldb:off N                       trailing, on a wire-body field
 //
 // The call graph is direct-call only: a callee is recorded when the
 // call expression resolves to a *types.Func declared in the module
@@ -129,30 +127,21 @@ func directiveArgs(c *ast.Comment, verb string) ([]string, bool) {
 	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 		return nil, false
 	}
-	args := strings.Fields(rest)
-	// Anything after "--" (or an em dash) is prose for the human reader,
-	// not arguments: `//ldb:off 16 -- idle sessions LRU-evicted`.
-	for i, a := range args {
-		if a == "--" || a == "—" {
-			args = args[:i]
-			break
-		}
-	}
-	return args, true
+	return strings.Fields(rest), true
 }
 
 // commentGroupArgs looks a //ldb:<verb> directive up in a comment
-// group, returning its arguments and the comment carrying it.
-func commentGroupArgs(cg *ast.CommentGroup, verb string) ([]string, *ast.Comment, bool) {
+// group, returning its arguments.
+func commentGroupArgs(cg *ast.CommentGroup, verb string) ([]string, bool) {
 	if cg == nil {
-		return nil, nil, false
+		return nil, false
 	}
 	for _, c := range cg.List {
 		if args, ok := directiveArgs(c, verb); ok {
-			return args, c, true
+			return args, true
 		}
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // isMutexType reports whether t (after unwrapping pointers) is
@@ -199,9 +188,9 @@ func (r *Repo) moduleLocks() []*lockDecl {
 	var out []*lockDecl
 	addField := func(f *File, fld *ast.Field, obj types.Object) {
 		ld := &lockDecl{obj: obj, file: f, pos: fld}
-		args, _, ok := commentGroupArgs(fld.Doc, "lock")
+		args, ok := commentGroupArgs(fld.Doc, "lock")
 		if !ok {
-			args, _, ok = commentGroupArgs(fld.Comment, "lock")
+			args, ok = commentGroupArgs(fld.Comment, "lock")
 		}
 		parseLockArgs(ld, args, ok)
 		out = append(out, ld)
@@ -257,12 +246,12 @@ func (r *Repo) moduleLocks() []*lockDecl {
 							}
 							if m, _ := isMutexType(obj.Type()); m {
 								ld := &lockDecl{obj: obj, file: f, pos: s}
-								args, _, ok := commentGroupArgs(s.Doc, "lock")
+								args, ok := commentGroupArgs(s.Doc, "lock")
 								if !ok {
-									args, _, ok = commentGroupArgs(s.Comment, "lock")
+									args, ok = commentGroupArgs(s.Comment, "lock")
 								}
 								if !ok {
-									args, _, ok = commentGroupArgs(gd.Doc, "lock")
+									args, ok = commentGroupArgs(gd.Doc, "lock")
 								}
 								parseLockArgs(ld, args, ok)
 								out = append(out, ld)

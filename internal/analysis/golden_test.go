@@ -30,7 +30,6 @@ func TestGolden(t *testing.T) {
 		{name: "lockorder"},
 		{name: "atomicity"},
 		{name: "detstate"},
-		{name: "wirecompat"},
 		{name: "allow"},
 	}
 	for _, fx := range fixtures {

@@ -1,6 +1,6 @@
 // Package analysis is ldb's static-analysis suite: a stdlib-only
 // driver (go/parser, go/ast, go/types — nothing outside the standard
-// library) plus eight analyzers. The first four mechanize the paper's
+// library) plus seven analyzers. The first four mechanize the paper's
 // central claim — §4 and §6 argue that all machine dependence is
 // confined to a few tiny per-target modules; until now the repository
 // only *counted* that claim (internal/locstats reproduces the §4.3
@@ -24,7 +24,7 @@
 //     table, and every target-resume path, runs under the panic
 //     containment added for the crash-proof nub.
 //
-// The other four hold the concurrency and determinism invariants that
+// The other three hold the concurrency and determinism invariants that
 // arrived with the multi-session service and the differential corpus:
 //
 //   - lockorder: mutexes declared with //ldb:lock <name> <rank> are
@@ -37,9 +37,6 @@
 //     never leak map iteration order, wall-clock time, randomness,
 //     pointer values, live atomic counters, or goroutine scheduling
 //     into replayed output.
-//   - wirecompat: //ldb:wire-body reply structs are append-only, with
-//     frozen //ldb:off field offsets and one symmetric encoder/decoder
-//     pair both sides of the wire share.
 //
 // Violations are suppressed, one line at a time, by an annotation that
 // is itself reported in the suite's summary:

@@ -86,12 +86,12 @@ func TestArchFingerprints(t *testing.T) {
 	}
 }
 
-// TestSuiteRoster pins the eight-analyzer roster in order: a dropped
+// TestSuiteRoster pins the seven-analyzer roster in order: a dropped
 // or renamed analyzer is a silent loss of coverage everywhere ldbvet
 // runs.
 func TestSuiteRoster(t *testing.T) {
 	want := []string{"machdep", "wireproto", "endian", "recoverguard",
-		"lockorder", "atomicity", "detstate", "wirecompat"}
+		"lockorder", "atomicity", "detstate"}
 	suite := analysis.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

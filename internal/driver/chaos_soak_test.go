@@ -76,7 +76,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	// of the sessions — after corrupting target memory the way a real
 	// crashed handler might.
 	s := nub.NewService()
-	s.ReadTimeout = 250 * time.Millisecond
+	s.ReadTimeout = 2 * time.Second // the clients' request timeout; see TestServiceSoak
 	s.CheckpointInterval = 4096
 	var hookFired atomic.Int64
 	var perID sync.Map
@@ -378,7 +378,7 @@ func TestCheckpointReplayDeterminism(t *testing.T) {
 			}
 
 			s := nub.NewService()
-			s.ReadTimeout = 250 * time.Millisecond
+			s.ReadTimeout = 2 * time.Second // the clients' request timeout; see TestServiceSoak
 			s.CheckpointInterval = 2048
 			var crashes atomic.Int64
 			var perID sync.Map

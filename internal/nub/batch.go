@@ -7,16 +7,16 @@ import (
 	"ldb/internal/amem"
 )
 
-// Batch queues fetch and store requests and flushes them to the nub in
-// as few round trips as possible: one MBatch envelope per MaxBatch
-// requests, or the plain one-message-at-a-time protocol when batching
-// is off (only the round-trip count differs). Results land in the
-// *IntRes / *BytesRes / *OKRes handles returned when an operation was
-// queued, after Run returns.
+// Batch queues fetch, plant and unplant requests and flushes them to
+// the nub in as few round trips as possible: one MBatch envelope per
+// MaxBatch requests, or the plain one-message-at-a-time protocol when
+// batching is off (only the round-trip count differs). Results land
+// in the *IntRes / *BytesRes / *OKRes handles returned when an
+// operation was queued, after Run returns.
 //
 // Cache interplay mirrors the Client's single-shot methods: queued
 // fetches that the cache can serve never reach the wire, fetched bytes
-// populate the cache, and stores write through it.
+// populate the cache, and plants write through it.
 type Batch struct {
 	c   *Client
 	ops []batchOp
@@ -34,7 +34,7 @@ type BytesRes struct {
 	Err  error
 }
 
-// OKRes receives a queued store's result.
+// OKRes receives a queued plant's or unplant's result.
 type OKRes struct {
 	Err error
 }
@@ -105,41 +105,6 @@ func (b *Batch) FetchBytes(space amem.Space, addr uint32, n int) *BytesRes {
 			r.Data = rep.Data
 			if c.cache != nil && cacheable(space) {
 				c.cache.insert(space, addr, rep.Data)
-			}
-		},
-	})
-	return r
-}
-
-// StoreInt queues a size-byte integer store.
-func (b *Batch) StoreInt(space amem.Space, addr uint32, size int, val uint64) *OKRes {
-	r := &OKRes{}
-	c := b.c
-	b.ops = append(b.ops, batchOp{
-		req:  &Msg{Kind: MStoreInt, Space: byte(space), Addr: addr, Size: uint32(size), Val: val},
-		want: MOK,
-		fin: func(_ *Msg, err error) {
-			r.Err = err
-			if err == nil {
-				c.writeThroughInt(space, addr, size, val)
-			}
-		},
-	})
-	return r
-}
-
-// StoreBytes queues a raw byte store.
-func (b *Batch) StoreBytes(space amem.Space, addr uint32, data []byte) *OKRes {
-	r := &OKRes{}
-	c := b.c
-	stored := append([]byte(nil), data...)
-	b.ops = append(b.ops, batchOp{
-		req:  &Msg{Kind: MStoreBytes, Space: byte(space), Addr: addr, Data: stored},
-		want: MOK,
-		fin: func(_ *Msg, err error) {
-			r.Err = err
-			if err == nil && c.cache != nil && cacheable(space) {
-				c.cache.patch(space, addr, stored)
 			}
 		},
 	})

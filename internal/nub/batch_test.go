@@ -12,9 +12,9 @@ import (
 	"ldb/internal/machine"
 )
 
-// TestBatchedSessionAllTargets drives fetches and stores through MBatch
-// envelopes on every target and checks the results match what the
-// single-shot methods return.
+// TestBatchedSessionAllTargets drives fetches, plants and unplants
+// through MBatch envelopes on every target and checks the results
+// match what the single-shot methods stored.
 func TestBatchedSessionAllTargets(t *testing.T) {
 	for _, a := range allArches {
 		t.Run(a.Name(), func(t *testing.T) {
@@ -26,20 +26,28 @@ func TestBatchedSessionAllTargets(t *testing.T) {
 			if !c.Batching() {
 				t.Fatal("nub did not advertise batch support")
 			}
+			if err := c.StoreInt(amem.Data, machine.DataBase+8, 4, 0xdead); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.StoreInt(amem.Data, machine.DataBase+12, 2, 0xbeef); err != nil {
+				t.Fatal(err)
+			}
+			bpt := uint32(machine.TextBase + 8)
 			b := c.NewBatch()
-			s1 := b.StoreInt(amem.Data, machine.DataBase+8, 4, 0xdead)
-			s2 := b.StoreInt(amem.Data, machine.DataBase+12, 2, 0xbeef)
+			s1 := b.PlantStore(bpt, a.BreakInstr())
+			s2 := b.UnplantStore(bpt)
 			if err := b.Run(); err != nil {
 				t.Fatal(err)
 			}
 			if s1.Err != nil || s2.Err != nil {
-				t.Fatalf("stores: %v %v", s1.Err, s2.Err)
+				t.Fatalf("plant, unplant: %v %v", s1.Err, s2.Err)
 			}
 			c.SetCaching(false) // force the fetches onto the wire
 			b = c.NewBatch()
 			f1 := b.FetchInt(amem.Data, machine.DataBase+8, 4)
 			f2 := b.FetchInt(amem.Data, machine.DataBase+12, 2)
 			f3 := b.FetchBytes(amem.Code, machine.TextBase, 8)
+			f4 := b.FetchBytes(amem.Code, bpt, 4)
 			bad := b.FetchInt(amem.Data, machine.DataBase+1<<16, 4)
 			if err := b.Run(); err != nil {
 				t.Fatal(err)
@@ -52,6 +60,9 @@ func TestBatchedSessionAllTargets(t *testing.T) {
 			}
 			if f3.Err != nil || !bytes.Equal(f3.Data, code[:8]) {
 				t.Errorf("f3 = %x, %v", f3.Data, f3.Err)
+			}
+			if f4.Err != nil || !bytes.Equal(f4.Data, code[8:12]) {
+				t.Errorf("f4 = %x, %v; want the unplanted %x", f4.Data, f4.Err, code[8:12])
 			}
 			// A failing member fails alone; the rest of the batch lands.
 			if bad.Err == nil {
@@ -81,21 +92,27 @@ func TestBatchFallsBackWhenBatchingOff(t *testing.T) {
 	if c.Batching() {
 		t.Fatal("client claims batching after SetBatching(false)")
 	}
+	if err := c.StoreInt(amem.Data, machine.DataBase+8, 4, 7); err != nil {
+		t.Fatal(err)
+	}
+	rt := c.Stats().RoundTrips
+	bpt := uint32(machine.TextBase + 8)
 	b := c.NewBatch()
-	s := b.StoreInt(amem.Data, machine.DataBase+8, 4, 7)
+	s := b.PlantStore(bpt, a.BreakInstr())
+	u := b.UnplantStore(bpt)
 	f := b.FetchInt(amem.Data, machine.DataBase+8, 4)
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Err != nil || f.Err != nil || f.Val != 7 {
-		t.Fatalf("fallback batch: %v %v val=%d", s.Err, f.Err, f.Val)
+	if s.Err != nil || u.Err != nil || f.Err != nil || f.Val != 7 {
+		t.Fatalf("fallback batch: %v %v %v val=%d", s.Err, u.Err, f.Err, f.Val)
 	}
 	st := c.Stats()
 	if st.Batches != 0 {
 		t.Errorf("unbatched session used %d envelopes", st.Batches)
 	}
-	if st.RoundTrips < 2 {
-		t.Errorf("round trips = %d, want one per operation", st.RoundTrips)
+	if got := st.RoundTrips - rt; got < 2 {
+		t.Errorf("round trips = %d, want one per operation", got)
 	}
 }
 

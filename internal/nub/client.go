@@ -637,24 +637,17 @@ func (c *Client) FetchInt(space amem.Space, addr uint32, size int) (uint64, erro
 // StoreInt writes a size-byte integer, writing through the cache.
 func (c *Client) StoreInt(space amem.Space, addr uint32, size int, val uint64) error {
 	_, err := c.roundTrip(&Msg{Kind: MStoreInt, Space: byte(space), Addr: addr, Size: uint32(size), Val: val}, MOK)
-	if err == nil {
-		c.writeThroughInt(space, addr, size, val)
-	}
-	return err
-}
-
-// writeThroughInt patches the cached copy after a successful StoreInt.
-func (c *Client) writeThroughInt(space amem.Space, addr uint32, size int, val uint64) {
-	if c.cache == nil || !cacheable(space) {
-		return
+	if err != nil || c.cache == nil || !cacheable(space) {
+		return err
 	}
 	if c.order == nil || size <= 0 || size > 4 {
 		c.cache.invalidate(space, addr, max(size, 8))
-		return
+		return nil
 	}
 	buf := make([]byte, size)
 	amem.WriteInt(c.order, buf, val)
 	c.cache.patch(space, addr, buf)
+	return nil
 }
 
 // FetchFloat reads a float of logical size 4, 8, or 10. Floats always
@@ -768,22 +761,24 @@ func (c *Client) ListPlanted() ([]PlantedRecord, error) {
 	return parsePlanted(rep.Data)
 }
 
-// SimStats asks the nub for its simulator counters.
-func (c *Client) SimStats() (SimStatsReport, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MSimStats}, MSimStatsReply)
+// Metrics asks the endpoint for its counters, sorted by name: the
+// nub and sim groups of the target, and the service group when the
+// endpoint is a debug service.
+func (c *Client) Metrics() ([]Metric, error) {
+	rep, err := c.roundTrip(&Msg{Kind: MMetrics}, MMetricsReply)
 	if err != nil {
-		return SimStatsReport{}, err
+		return nil, err
 	}
-	return decodeSimStats(rep.Data)
+	return decodeMetrics(rep.Data)
 }
 
-// ServerStats asks the nub for its robustness counters.
-func (c *Client) ServerStats() (ServerStatsReport, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MServerStats}, MServerStatsReply)
-	if err != nil {
-		return ServerStatsReport{}, err
-	}
-	return decodeServerStats(rep.Data)
+// SimStats reads the target's simulator counters, the sim group of
+// Metrics.
+func (c *Client) SimStats() (SimStatsReport, error) {
+	var r SimStatsReport
+	ms, err := c.Metrics()
+	fillMetrics(&r, "sim", ms)
+	return r, err
 }
 
 // Sessions reports whether the connected endpoint is a debug service:
@@ -857,14 +852,13 @@ func (c *Client) CloseSession() error {
 	return nil
 }
 
-// ServiceStats asks the debug service for its health counters. A plain
-// nub refuses the request; callers treat the error as "not a service".
+// ServiceStats reads the debug service's health counters, the service
+// group of Metrics; against a plain nub every counter reads zero.
 func (c *Client) ServiceStats() (ServiceStatsReport, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MServiceStats}, MServiceStatsReply)
-	if err != nil {
-		return ServiceStatsReport{}, err
-	}
-	return decodeServiceStats(rep.Data)
+	var r ServiceStatsReport
+	ms, err := c.Metrics()
+	fillMetrics(&r, "service", ms)
+	return r, err
 }
 
 // parsePlanted decodes an MPlanted payload: (addr32, len32, bytes)

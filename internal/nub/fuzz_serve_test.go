@@ -37,6 +37,7 @@ func FuzzServe(f *testing.F) {
 	var valid bytes.Buffer
 	_ = WriteMsg(&valid, &Msg{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase, Size: 4})
 	_ = WriteMsg(&valid, &Msg{Kind: MListPlanted})
+	_ = WriteMsg(&valid, &Msg{Kind: MMetrics})
 	_ = WriteMsg(&valid, &Msg{Kind: MStepInst})
 	_ = WriteMsg(&valid, &Msg{Kind: MContinue})
 	f.Add(valid.Bytes())

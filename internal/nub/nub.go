@@ -317,8 +317,7 @@ func init() {
 	handlers[MFetchBytes] = (*Nub).handleFetchBytes
 	handlers[MFetchLine] = (*Nub).handleFetchLine
 	handlers[MStoreBytes] = (*Nub).handleStoreBytes
-	handlers[MSimStats] = (*Nub).handleSimStats
-	handlers[MServerStats] = (*Nub).handleServerStats
+	handlers[MMetrics] = (*Nub).handleMetrics
 }
 
 // checkRequest validates a request's kind, space, and size ranges
@@ -526,24 +525,21 @@ func (n *Nub) handleStoreBytes(m *Msg) *Msg {
 	return &Msg{Kind: MOK}
 }
 
-// handleSimStats serves the simulator counters.
-func (n *Nub) handleSimStats(m *Msg) *Msg {
+// handleMetrics serves the nub's own counters.
+func (n *Nub) handleMetrics(m *Msg) *Msg {
+	return &Msg{Kind: MMetricsReply, Data: encodeMetrics(n.appendMetricsLocked(nil))}
+}
+
+// appendMetricsLocked appends the nub and sim groups. The caller holds
+// n.mu.
+func (n *Nub) appendMetricsLocked(ms []Metric) []Metric {
 	st := n.P.SimStats()
-	return &Msg{Kind: MSimStatsReply, Data: encodeSimStats(SimStatsReport{
+	ms = appendMetrics(ms, "nub", n.Stats.Snapshot())
+	return appendMetrics(ms, "sim", SimStatsReport{
 		Steps: n.P.Steps, Hits: st.Hits, Decodes: st.Decodes,
 		Invalidations: st.Invalidations, Fallbacks: st.Fallbacks,
 		Blocks: st.Blocks, BlockInsns: st.BlockInsns,
-	})}
-}
-
-// handleServerStats serves the robustness counters.
-func (n *Nub) handleServerStats(m *Msg) *Msg {
-	st := n.Stats.Snapshot()
-	return &Msg{Kind: MServerStatsReply, Data: encodeServerStats(ServerStatsReport{
-		RecoveredPanics: st.RecoveredPanics, MalformedFrames: st.MalformedFrames,
-		OversizeRejects: st.OversizeRejects, SlowReads: st.SlowReads,
-		CtxFaults: st.CtxFaults,
-	})}
+	})
 }
 
 // handleBatch services an MBatch envelope: each member is handled in

@@ -68,18 +68,14 @@ const (
 	MExited
 	MPlanted
 	MBatchReply
-	// MSimStats asks the nub for its simulator counters — instructions
-	// executed, decode-cache activity, superblock fusion — which come
-	// back as an MSimStatsReply (a SimStatsReport body; see wirebody.go).
-	// Purely informational.
-	MSimStats
-	MSimStatsReply
-	// MServerStats asks the nub for its robustness counters — recovered
-	// panics, malformed frames, oversize rejects, slow reads, context
-	// faults — which come back as an MServerStatsReply (a
-	// ServerStatsReport body). Like MSimStats it is informational.
-	MServerStats
-	MServerStatsReply
+	// MMetrics asks the endpoint for its counters, which come back as
+	// an MMetricsReply: (name, value) pairs sorted by name (see
+	// wirebody.go). A nub answers with its wire and robustness
+	// counters (nub.*) and its simulator counters (sim.*); the debug
+	// service adds its pool counters (service.*). Purely
+	// informational.
+	MMetrics
+	MMetricsReply
 	// MStepInst resumes the target for exactly one instruction: the
 	// machine-level single step that degraded-mode debugging needs when
 	// no symbol table is available to plant stepping breakpoints from.
@@ -97,16 +93,12 @@ const (
 	// session and releases its pool slot. Open and attach answer with
 	// MSession (Val the id, Data the arch name, Addr/Size the context
 	// record) followed by the session's pending stop event, mirroring
-	// the single-target welcome handshake. MServiceStats asks for
-	// service-wide health counters, answered by MServiceStatsReply (a
-	// ServiceStatsReport body). A single-target nub refuses all four
-	// like any unknown request.
+	// the single-target welcome handshake. A single-target nub refuses
+	// all three like any unknown request.
 	MOpenSession
 	MAttachSession
 	MCloseSession
-	MServiceStats
 	MSession
-	MServiceStatsReply
 )
 
 // kindInfo is one kind's row in the protocol's single source of truth:
@@ -147,34 +139,30 @@ var kinds = map[MsgKind]kindInfo{
 	MListPlanted:  {name: "listplanted", request: true, idempotent: true},
 	// An MBatch envelope is idempotent exactly when every member is;
 	// reqIdempotent handles it specially.
-	MBatch:            {name: "batch", request: true},
-	MFetchLine:        {name: "fetchline", request: true, space: true, idempotent: true},
-	MSimStats:         {name: "simstats", request: true, idempotent: true},
-	MServerStats:      {name: "serverstats", request: true, idempotent: true},
-	MStepInst:         {name: "stepinst", request: true},
-	MWelcome:          {name: "welcome"},
-	MValue:            {name: "value"},
-	MFValue:           {name: "fvalue"},
-	MBytes:            {name: "bytes"},
-	MOK:               {name: "ok"},
-	MError:            {name: "error"},
-	MEvent:            {name: "event"},
-	MExited:           {name: "exited"},
-	MPlanted:          {name: "planted"},
-	MBatchReply:       {name: "batchreply"},
-	MSimStatsReply:    {name: "simstatsreply"},
-	MServerStatsReply: {name: "serverstatsreply"},
+	MBatch:        {name: "batch", request: true},
+	MFetchLine:    {name: "fetchline", request: true, space: true, idempotent: true},
+	MMetrics:      {name: "metrics", request: true, idempotent: true},
+	MStepInst:     {name: "stepinst", request: true},
+	MWelcome:      {name: "welcome"},
+	MValue:        {name: "value"},
+	MFValue:       {name: "fvalue"},
+	MBytes:        {name: "bytes"},
+	MOK:           {name: "ok"},
+	MError:        {name: "error"},
+	MEvent:        {name: "event"},
+	MExited:       {name: "exited"},
+	MPlanted:      {name: "planted"},
+	MBatchReply:   {name: "batchreply"},
+	MMetricsReply: {name: "metricsreply"},
 	// MOpenSession spawns a process; replaying a delivered one after a
 	// reconnect would spawn a second. MCloseSession kills the session —
 	// also not replayable. MAttachSession only re-binds the connection
 	// and re-reports the latched event, so a reconnecting client may
 	// replay it freely.
-	MOpenSession:       {name: "opensession", request: true},
-	MAttachSession:     {name: "attachsession", request: true, idempotent: true},
-	MCloseSession:      {name: "closesession", request: true},
-	MServiceStats:      {name: "servicestats", request: true, idempotent: true},
-	MSession:           {name: "session"},
-	MServiceStatsReply: {name: "servicestatsreply"},
+	MOpenSession:   {name: "opensession", request: true},
+	MAttachSession: {name: "attachsession", request: true, idempotent: true},
+	MCloseSession:  {name: "closesession", request: true},
+	MSession:       {name: "session"},
 }
 
 func (k MsgKind) String() string {

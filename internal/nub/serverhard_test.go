@@ -2,7 +2,6 @@ package nub
 
 import (
 	"bytes"
-	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -56,19 +55,25 @@ func roundtripRaw(t *testing.T, conn net.Conn, req *Msg) *Msg {
 	return rep
 }
 
-// serverCounters asks the serving nub for its robustness counters over
-// the wire (the MServerStats enrichment) and parses the reply.
-func serverCounters(t *testing.T, conn net.Conn) (recovered, malformed, oversize, slow, ctx int64) {
+// serverMetric asks the serving nub for its counters with a raw
+// MMetrics round trip and returns the named one; an absent name reads
+// as zero.
+func serverMetric(t *testing.T, conn net.Conn, name string) int64 {
 	t.Helper()
-	rep := roundtripRaw(t, conn, &Msg{Kind: MServerStats})
-	if rep.Kind != MServerStatsReply || len(rep.Data) != 40 {
-		t.Fatalf("serverstats reply = %v (%d bytes)", rep.Kind, len(rep.Data))
+	rep := roundtripRaw(t, conn, &Msg{Kind: MMetrics})
+	if rep.Kind != MMetricsReply {
+		t.Fatalf("metrics reply = %v %q", rep.Kind, rep.Data)
 	}
-	vals := make([]int64, 5)
-	for i := range vals {
-		vals[i] = int64(binary.LittleEndian.Uint64(rep.Data[8*i : 8*i+8]))
+	ms, err := decodeMetrics(rep.Data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return vals[0], vals[1], vals[2], vals[3], vals[4]
+	for _, m := range ms {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // TestUnknownRequestKindsRejected: unassigned kind bytes, reply kinds
@@ -98,8 +103,7 @@ func TestUnknownRequestKindsRejected(t *testing.T) {
 		t.Fatalf("MalformedFrames = %d, want %d", got, len(bad))
 	}
 	// And the counters travel over the wire.
-	_, malformed, _, _, _ := serverCounters(t, cli)
-	if malformed != int64(len(bad)) {
+	if malformed := serverMetric(t, cli, "nub.MalformedFrames"); malformed != int64(len(bad)) {
 		t.Fatalf("wire MalformedFrames = %d, want %d", malformed, len(bad))
 	}
 }

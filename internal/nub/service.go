@@ -162,6 +162,10 @@ type Service struct {
 	passivated  atomic.Int64
 	resurrected atomic.Int64
 	rollbacks   atomic.Int64
+	// Connections dropped by the read deadline or for an oversize
+	// frame, whether or not a session was bound.
+	slowReads atomic.Int64
+	oversize  atomic.Int64
 
 	lnMu     sync.Mutex //ldb:lock service.lnMu 40
 	listener net.Listener
@@ -257,14 +261,12 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 
 	for {
 		req, slow, rerr := readRequest(conn, s.ReadTimeout)
-		if slow && sess != nil {
-			sess.nub.Stats.SlowReads.Add(1)
+		if slow {
+			s.slowReads.Add(1)
 		}
 		if rerr != nil {
 			if errors.Is(rerr, errOversize) {
-				if sess != nil {
-					sess.nub.Stats.OversizeRejects.Add(1)
-				}
+				s.oversize.Add(1)
 				_ = WriteMsg(conn, &Msg{Kind: MError, Data: []byte(rerr.Error())})
 			}
 			return rerr // connection broken; session state preserved
@@ -321,8 +323,8 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 			if err := WriteMsg(conn, &Msg{Kind: MOK}); err != nil {
 				return err
 			}
-		case MServiceStats:
-			if err := WriteMsg(conn, s.statsReply(sess)); err != nil {
+		case MMetrics:
+			if err := WriteMsg(conn, s.metricsReply(sess)); err != nil {
 				return err
 			}
 		default:
@@ -401,22 +403,26 @@ func (s *Service) announce(conn net.Conn, sess *session) error {
 func (s *Service) openSession(name string) (*session, *Msg) {
 	s.mu.Lock()
 	spec, ok := s.programs[name]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, errMsg("unknown program %q", name)
 	}
+	// Build the target outside the pool lock: when many opens arrive at
+	// once on a busy host, a holder descheduled mid-build stalls every
+	// open queued behind it.
+	p := machine.New(spec.arch, spec.text, spec.data, spec.entry)
+	s.share.Adopt(p)
+	n := New(p)
+	// The binding token starts held: the opener is the first driver.
+	sess := &session{program: name, nub: n, busy: make(chan struct{}, 1), replayIdx: -1}
+	s.mu.Lock()
 	if rep := s.makeRoomLocked(); rep != nil {
 		s.mu.Unlock()
 		return nil, rep
 	}
 	s.nextID++
-	id := s.nextID
-	p := machine.New(spec.arch, spec.text, spec.data, spec.entry)
-	s.share.Adopt(p)
-	n := New(p)
-	sess := &session{id: id, program: name, nub: n, busy: make(chan struct{}, 1), replayIdx: -1}
-	// The binding token starts held: the opener is the first driver.
-	s.sessions[id] = sess
+	sess.id = s.nextID
+	s.sessions[sess.id] = sess
 	if len(s.sessions) > s.peak {
 		s.peak = len(s.sessions)
 	}
@@ -885,9 +891,18 @@ func rolledBack(kind MsgKind) *Msg {
 	}
 }
 
-// statsReply builds the MServiceStatsReply body — a ServiceStatsReport
-// through the shared wire-body codec.
-func (s *Service) statsReply(sess *session) *Msg {
+// metricsReply builds the MMetricsReply body: the bound session's nub
+// and sim groups, read under its nub's lock, and the service group.
+func (s *Service) metricsReply(sess *session) *Msg {
+	var ms []Metric
+	var bound int64
+	if sess != nil {
+		n := sess.nub
+		n.mu.Lock()
+		ms = n.appendMetricsLocked(ms)
+		n.mu.Unlock()
+		bound = n.Stats.RoundTrips.Load()
+	}
 	s.mu.Lock()
 	live := int64(len(s.sessions))
 	peak := int64(s.peak)
@@ -898,17 +913,14 @@ func (s *Service) statsReply(sess *session) *Msg {
 	s.mu.Unlock()
 	total += s.closedRequests.Load()
 	hits, misses := s.share.Stats()
-	var bound int64
-	if sess != nil {
-		bound = sess.nub.Stats.RoundTrips.Load()
-	}
-	return &Msg{Kind: MServiceStatsReply, Data: encodeServiceStats(ServiceStatsReport{
+	return &Msg{Kind: MMetricsReply, Data: encodeMetrics(appendMetrics(ms, "service", ServiceStatsReport{
 		Live: live, Peak: peak, Evicted: s.evicted.Load(), Opened: s.opened.Load(),
 		SharedHits: hits, SharedMisses: misses,
 		SessionRequests: bound, TotalRequests: total,
 		Passivated: s.passivated.Load(), Resurrected: s.resurrected.Load(),
 		Rollbacks: s.rollbacks.Load(),
-	})}
+		SlowReads: s.slowReads.Load(), OversizeRejects: s.oversize.Load(),
+	}))}
 }
 
 // Sessions reports how many sessions are live (for tests).

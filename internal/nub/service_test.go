@@ -530,9 +530,9 @@ func TestServiceStatsPerSession(t *testing.T) {
 }
 
 // TestServicePlainNubRefusesSessionKinds pins the single-target story
-// on the wire: a nub answers MServiceStats with a clean error and keeps
-// serving, and the client API refuses session requests locally before
-// sending.
+// on the wire: a nub's metrics carry its nub and sim groups but no
+// service group, and the client API refuses session requests locally
+// before sending.
 func TestServicePlainNubRefusesSessionKinds(t *testing.T) {
 	a := allArches[0]
 	c, _, _, err := Launch(a, testProgram(t, a), nil, machine.TextBase)
@@ -545,10 +545,19 @@ func TestServicePlainNubRefusesSessionKinds(t *testing.T) {
 	if _, err := c.OpenSession("mips"); err == nil {
 		t.Fatal("OpenSession against plain nub did not refuse")
 	}
-	if _, err := c.ServiceStats(); err == nil || !strings.Contains(err.Error(), "unexpected request") {
-		t.Fatalf("servicestats against plain nub: %v", err)
+	ms, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The refusal left the connection healthy.
+	groups := map[string]bool{}
+	for _, m := range ms {
+		g, _, _ := strings.Cut(m.Name, ".")
+		groups[g] = true
+	}
+	if !groups["nub"] || !groups["sim"] || groups["service"] {
+		t.Fatalf("plain nub metrics have groups %v, want nub and sim only: %v", groups, ms)
+	}
+	// The connection stays healthy.
 	if _, err := c.Continue(); err != nil {
 		t.Fatal(err)
 	}

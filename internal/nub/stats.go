@@ -27,7 +27,8 @@ type Stats struct {
 
 	// Server-side robustness counters: the nub increments these while
 	// surviving hostile or broken input, and serves them over the wire
-	// via MServerStats.
+	// in the nub group of MMetrics. A debug service counts the slow
+	// reads and oversize frames it drops in its own service group.
 	RecoveredPanics atomic.Int64 // request handlers that panicked and were contained
 	MalformedFrames atomic.Int64 // requests rejected by validation before dispatch
 	OversizeRejects atomic.Int64 // frames whose declared payload exceeded the cap
