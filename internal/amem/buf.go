@@ -17,10 +17,6 @@ type BufMemory struct {
 	// a BufMemory can present a window of a larger address space.
 	Base int64
 	Data []byte
-
-	// shadow, when armed by EnableSnapshots, tracks dirty pages for
-	// copy-on-write forking (snap.go).
-	shadow *Shadow
 }
 
 // NewBufMemory returns a BufMemory of n bytes serving the given space.
@@ -74,9 +70,6 @@ func (m *BufMemory) StoreInt(loc Location, size int, val uint64) error {
 	if err != nil {
 		return err
 	}
-	if m.shadow != nil {
-		m.shadow.Mark(int(loc.Offset-m.Base), size)
-	}
 	WriteInt(m.Order, b, val)
 	return nil
 }
@@ -107,9 +100,6 @@ func (m *BufMemory) StoreFloat(loc Location, size int, val float64) error {
 	b, err := m.slice(loc, floatStorageSize(size))
 	if err != nil {
 		return err
-	}
-	if m.shadow != nil {
-		m.shadow.Mark(int(loc.Offset-m.Base), floatStorageSize(size))
 	}
 	EncodeFloat(m.Order, b, size, val)
 	return nil

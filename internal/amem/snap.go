@@ -173,72 +173,3 @@ func allZero(b []byte) bool {
 	}
 	return true
 }
-
-// BufSnapshot is an immutable snapshot of one BufMemory.
-type BufSnapshot struct {
-	Space Space
-	Base  int64
-	Mem   *PageMap
-}
-
-// EnableSnapshots arms dirty-page tracking on m. Until armed, stores
-// are not tracked and the first Snapshot copies everything anyway.
-func (m *BufMemory) EnableSnapshots() {
-	if m.shadow == nil {
-		m.shadow = NewShadow(len(m.Data))
-	}
-}
-
-// Snapshot forks an immutable copy-on-write snapshot of m, arming
-// dirty-page tracking if it was not already on.
-func (m *BufMemory) Snapshot() *BufSnapshot {
-	m.EnableSnapshots()
-	return &BufSnapshot{Space: m.Space, Base: m.Base, Mem: m.shadow.Fork(m.Data)}
-}
-
-// RestoreSnapshot copies a snapshot's contents back into m. The
-// snapshot must describe the same space, base, and length.
-func (m *BufMemory) RestoreSnapshot(s *BufSnapshot) error {
-	if s.Space != m.Space || s.Base != m.Base || s.Mem.Len() != len(m.Data) {
-		return fmt.Errorf("amem: snapshot of space %q base %d len %d does not match %s (space %q base %d len %d)",
-			s.Space, s.Base, s.Mem.Len(), m.Name(), m.Space, m.Base, len(m.Data))
-	}
-	s.Mem.CopyTo(m.Data)
-	if m.shadow != nil {
-		m.shadow.Reset(s.Mem)
-	}
-	return nil
-}
-
-// JoinedSnapshot is a snapshot of every BufMemory-backed route of a
-// JoinedMemory.
-type JoinedSnapshot struct {
-	Snaps []*BufSnapshot
-}
-
-// Snapshot forks a snapshot of every route backed by a BufMemory;
-// routes of other kinds (register files, wire memories) are skipped.
-func (j *JoinedMemory) Snapshot() *JoinedSnapshot {
-	js := &JoinedSnapshot{}
-	for _, sp := range j.order {
-		if bm, ok := j.routes[sp].(*BufMemory); ok {
-			js.Snaps = append(js.Snaps, bm.Snapshot())
-		}
-	}
-	return js
-}
-
-// RestoreSnapshot copies a JoinedSnapshot back into the matching
-// BufMemory routes.
-func (j *JoinedMemory) RestoreSnapshot(s *JoinedSnapshot) error {
-	for _, bs := range s.Snaps {
-		m, ok := j.routes[bs.Space].(*BufMemory)
-		if !ok {
-			return fmt.Errorf("amem: snapshot space %q has no BufMemory route", bs.Space)
-		}
-		if err := m.RestoreSnapshot(bs); err != nil {
-			return err
-		}
-	}
-	return nil
-}

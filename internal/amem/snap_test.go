@@ -2,7 +2,6 @@ package amem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
@@ -95,74 +94,32 @@ func TestPageMapFromPagesValidates(t *testing.T) {
 	}
 }
 
-func TestBufMemorySnapshotRestore(t *testing.T) {
-	m := NewBufMemory(Data, binary.LittleEndian, 2*SnapPage)
-	loc := func(off int64) Location { return Location{Space: Data, Offset: off} }
-	if err := m.StoreInt(loc(8), 4, 0x11223344); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
+// TestShadowForkAfterResetSharesRestoredPages: once memory has been
+// restored to a snapshot and the shadow re-based on it, a Fork shares
+// every page nothing has dirtied since with that snapshot.
+func TestShadowForkAfterResetSharesRestoredPages(t *testing.T) {
+	data := make([]byte, 2*SnapPage)
+	data[8], data[SnapPage+8] = 1, 2
+	sh := NewShadow(len(data))
+	pm := sh.Fork(data)
 
-	// Mutate both pages after the snapshot, then restore.
-	if err := m.StoreInt(loc(8), 4, 0xdeadbeef); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StoreFloat(loc(SnapPage+16), Float64, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.FetchInt(loc(8), 4)
-	if err != nil || v != 0x11223344 {
-		t.Fatalf("after restore: %#x, %v", v, err)
-	}
-	f, err := m.FetchFloat(loc(SnapPage+16), Float64)
-	if err != nil || f != 0 {
-		t.Fatalf("after restore: %v, %v", f, err)
-	}
+	// Scribble on both pages, then restore pm and re-base the shadow.
+	data[8], data[SnapPage+8] = 0xAA, 0xBB
+	sh.Mark(8, 1)
+	sh.Mark(SnapPage+8, 1)
+	pm.CopyTo(data)
+	sh.Reset(pm)
 
-	// A post-restore fork shares pages with the restored snapshot.
-	pm2 := m.Snapshot().Mem
-	if snap.Mem.Page(0) == nil || &snap.Mem.Page(0)[0] != &pm2.Page(0)[0] {
-		t.Fatal("post-restore fork does not share clean pages")
+	data[SnapPage+9] = 3
+	sh.Mark(SnapPage+9, 1)
+	pm2 := sh.Fork(data)
+	if &pm2.Page(0)[0] != &pm.Page(0)[0] {
+		t.Fatal("clean page 0 not shared with the restored snapshot")
 	}
-
-	// Mismatched snapshots are rejected.
-	other := NewBufMemory(Code, binary.LittleEndian, 2*SnapPage)
-	if err := other.RestoreSnapshot(snap); err == nil {
-		t.Fatal("cross-space restore accepted")
+	if &pm2.Page(1)[0] == &pm.Page(1)[0] {
+		t.Fatal("page 1, dirtied after the restore, shared with the restored snapshot")
 	}
-}
-
-func TestJoinedMemorySnapshot(t *testing.T) {
-	j := NewJoinedMemory()
-	d := NewBufMemory(Data, binary.LittleEndian, SnapPage)
-	c := NewBufMemory(Code, binary.LittleEndian, SnapPage)
-	j.Route(Data, d)
-	j.Route(Code, c)
-	if err := j.StoreInt(Location{Space: Data, Offset: 4}, 4, 99); err != nil {
-		t.Fatal(err)
-	}
-	snap := j.Snapshot()
-	if len(snap.Snaps) != 2 {
-		t.Fatalf("snapshotted %d routes, want 2", len(snap.Snaps))
-	}
-	if err := j.StoreInt(Location{Space: Data, Offset: 4}, 4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.StoreInt(Location{Space: Code, Offset: 0}, 4, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	v, err := j.FetchInt(Location{Space: Data, Offset: 4}, 4)
-	if err != nil || v != 99 {
-		t.Fatalf("data after restore: %d, %v", v, err)
-	}
-	v, err = j.FetchInt(Location{Space: Code, Offset: 0}, 4)
-	if err != nil || v != 0 {
-		t.Fatalf("code after restore: %d, %v", v, err)
+	if !bytes.Equal(pm2.Materialize(), data) || pm.Materialize()[SnapPage+9] != 0 {
+		t.Fatal("fork after reset does not match memory, or the restored snapshot changed")
 	}
 }

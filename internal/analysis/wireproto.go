@@ -16,7 +16,7 @@ import (
 // two markers:
 //
 //	//ldb:kind-table      on the map from kind constant to kindInfo
-//	                      (name, request, space, idempotent)
+//	                      (name, request, space, idempotent, reply)
 //	//ldb:dispatch-table  on the server's kind-indexed handler table
 //
 // and the analyzer then checks, for the kind type those tables are

@@ -91,8 +91,9 @@ func (m *Manager) IsRaw(addr uint32) bool { return m.raw[addr] }
 // no-op checks into one round trip and the plants into another (§6's
 // protocol carries them as ordinary fetches and special stores, so an
 // MBatch envelope holds the lot). On any failure every breakpoint this
-// call planted is removed again, so the set of planted breakpoints is
-// unchanged by a failed call.
+// call planted is removed again — those of envelopes that landed
+// before a later one was lost included — so the set of planted
+// breakpoints is unchanged by a failed call.
 func (m *Manager) PlantMany(addrs []uint32) error {
 	var fresh []uint32
 	seen := make(map[uint32]bool)
@@ -106,14 +107,11 @@ func (m *Manager) PlantMany(addrs []uint32) error {
 		return nil
 	}
 	size := m.A.InstrSize()
-	fetch := m.C.NewBatch()
-	olds := make([]*nub.BytesRes, len(fresh))
-	for i, a := range fresh {
-		olds[i] = fetch.FetchBytes(amem.Code, a, size)
+	fetch := m.C.NewBatch(len(fresh))
+	for _, a := range fresh {
+		fetch.FetchBytes(amem.Code, a, size)
 	}
-	if err := fetch.Run(); err != nil {
-		return err
-	}
+	olds := fetch.Run()
 	for i, r := range olds {
 		if r.Err != nil {
 			return r.Err
@@ -122,21 +120,20 @@ func (m *Manager) PlantMany(addrs []uint32) error {
 			return fmt.Errorf("bpt: %#x does not hold a stopping-point no-op", fresh[i])
 		}
 	}
-	plant := m.C.NewBatch()
-	oks := make([]*nub.OKRes, len(fresh))
-	for i, a := range fresh {
-		oks[i] = plant.PlantStore(a, m.A.BreakInstr())
+	plant := m.C.NewBatch(len(fresh))
+	trap := m.A.BreakInstr()
+	for _, a := range fresh {
+		plant.PlantStore(a, trap)
 	}
-	runErr := plant.Run()
 	var failed error
-	for i, r := range oks {
-		if runErr == nil && r.Err == nil {
-			m.planted[fresh[i]] = append([]byte(nil), olds[i].Data...)
+	for i, r := range plant.Run() {
+		if r.Err == nil {
+			m.planted[fresh[i]] = olds[i].Data
 		} else if failed == nil {
 			failed = r.Err
 		}
 	}
-	if runErr != nil || failed != nil {
+	if failed != nil {
 		// Roll back whatever did get planted so a partial failure
 		// leaves the target as it was.
 		for _, a := range fresh {
@@ -144,12 +141,8 @@ func (m *Manager) PlantMany(addrs []uint32) error {
 				m.Remove(a)
 			}
 		}
-		if runErr != nil {
-			return runErr
-		}
-		return failed
 	}
-	return nil
+	return failed
 }
 
 // Remove clears the breakpoint at addr, restoring the no-op.
@@ -167,7 +160,8 @@ func (m *Manager) Remove(addr uint32) error {
 
 // RemoveMany clears the breakpoints at every address in addrs in one
 // batched round trip. Addresses with no planted breakpoint are an
-// error, as with Remove.
+// error, as with Remove. On a failure the addresses that were
+// unplanted are forgotten and the rest stay planted.
 func (m *Manager) RemoveMany(addrs []uint32) error {
 	var unique []uint32
 	seen := make(map[uint32]bool)
@@ -184,16 +178,12 @@ func (m *Manager) RemoveMany(addrs []uint32) error {
 	if len(addrs) == 0 {
 		return nil
 	}
-	b := m.C.NewBatch()
-	oks := make([]*nub.OKRes, len(addrs))
-	for i, a := range addrs {
-		oks[i] = b.UnplantStore(a)
-	}
-	if err := b.Run(); err != nil {
-		return err
+	b := m.C.NewBatch(len(addrs))
+	for _, a := range addrs {
+		b.UnplantStore(a)
 	}
 	var failed error
-	for i, r := range oks {
+	for i, r := range b.Run() {
 		if r.Err == nil {
 			delete(m.planted, addrs[i])
 			delete(m.raw, addrs[i])

@@ -54,19 +54,16 @@ func (w *fpWalker) Caller(f *Frame) (*Frame, error) {
 	}
 	// The saved fp and return address are adjacent stack words; fetch
 	// both in one round trip.
-	b := t.C.NewBatch()
-	oldfpRes := b.FetchInt(amem.Data, uint32(fp), 4)
-	raRes := b.FetchInt(amem.Data, uint32(fp)+4, 4)
-	if err := b.Run(); err != nil {
-		return nil, err
+	b := t.C.NewBatch(2)
+	b.FetchInt(amem.Data, uint32(fp), 4)
+	b.FetchInt(amem.Data, uint32(fp)+4, 4)
+	res := b.Run()
+	for _, r := range res {
+		if r.Err != nil {
+			return nil, r.Err
+		}
 	}
-	if oldfpRes.Err != nil {
-		return nil, oldfpRes.Err
-	}
-	if raRes.Err != nil {
-		return nil, raRes.Err
-	}
-	oldfp, ra := oldfpRes.Val, raRes.Val
+	oldfp, ra := res[0].Val, res[1].Val
 	if ra == 0 {
 		return nil, fmt.Errorf("frame: end of stack")
 	}

@@ -45,26 +45,18 @@ func (w *mipsWalker) readRPT() error {
 	}
 	// The table is 2n consecutive words; batch the reads into one
 	// round trip instead of 2n.
-	b := t.C.NewBatch()
-	type entryRes struct{ a, f *nub.IntRes }
-	ents := make([]entryRes, n)
-	for i := uint32(0); i < uint32(n); i++ {
-		ents[i] = entryRes{
-			a: b.FetchInt(amem.Data, t.RPT+4+8*i, 4),
-			f: b.FetchInt(amem.Data, t.RPT+4+8*i+4, 4),
+	b := t.C.NewBatch(2 * int(n))
+	for i := uint32(0); i < 2*uint32(n); i++ {
+		b.FetchInt(amem.Data, t.RPT+4+4*i, 4)
+	}
+	res := b.Run()
+	for _, r := range res {
+		if r.Err != nil {
+			return r.Err
 		}
 	}
-	if err := b.Run(); err != nil {
-		return err
-	}
-	for _, e := range ents {
-		if e.a.Err != nil {
-			return e.a.Err
-		}
-		if e.f.Err != nil {
-			return e.f.Err
-		}
-		w.rpt = append(w.rpt, rptEntry{addr: uint32(e.a.Val), frame: uint32(e.f.Val)})
+	for i := 0; i < len(res); i += 2 {
+		w.rpt = append(w.rpt, rptEntry{addr: uint32(res[i].Val), frame: uint32(res[i+1].Val)})
 	}
 	return nil
 }

@@ -33,25 +33,24 @@ func TestBatchedSessionAllTargets(t *testing.T) {
 				t.Fatal(err)
 			}
 			bpt := uint32(machine.TextBase + 8)
-			b := c.NewBatch()
-			s1 := b.PlantStore(bpt, a.BreakInstr())
-			s2 := b.UnplantStore(bpt)
-			if err := b.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if s1.Err != nil || s2.Err != nil {
-				t.Fatalf("plant, unplant: %v %v", s1.Err, s2.Err)
+			b := c.NewBatch(2)
+			b.PlantStore(bpt, a.BreakInstr())
+			b.UnplantStore(bpt)
+			if res := b.Run(); res[0].Err != nil || res[1].Err != nil {
+				t.Fatalf("plant, unplant: %v %v", res[0].Err, res[1].Err)
 			}
 			c.SetCaching(false) // force the fetches onto the wire
-			b = c.NewBatch()
-			f1 := b.FetchInt(amem.Data, machine.DataBase+8, 4)
-			f2 := b.FetchInt(amem.Data, machine.DataBase+12, 2)
-			f3 := b.FetchBytes(amem.Code, machine.TextBase, 8)
-			f4 := b.FetchBytes(amem.Code, bpt, 4)
-			bad := b.FetchInt(amem.Data, machine.DataBase+1<<16, 4)
-			if err := b.Run(); err != nil {
-				t.Fatal(err)
+			b = c.NewBatch(5)
+			b.FetchInt(amem.Data, machine.DataBase+8, 4)
+			b.FetchInt(amem.Data, machine.DataBase+12, 2)
+			b.FetchBytes(amem.Code, machine.TextBase, 8)
+			b.FetchBytes(amem.Code, bpt, 4)
+			b.FetchInt(amem.Data, machine.DataBase+1<<16, 4)
+			res := b.Run()
+			if len(res) != 5 {
+				t.Fatalf("%d results for 5 members", len(res))
 			}
+			f1, f2, f3, f4, bad := res[0], res[1], res[2], res[3], res[4]
 			if f1.Err != nil || f1.Val != 0xdead {
 				t.Errorf("f1 = %#x, %v", f1.Val, f1.Err)
 			}
@@ -97,13 +96,12 @@ func TestBatchFallsBackWhenBatchingOff(t *testing.T) {
 	}
 	rt := c.Stats().RoundTrips
 	bpt := uint32(machine.TextBase + 8)
-	b := c.NewBatch()
-	s := b.PlantStore(bpt, a.BreakInstr())
-	u := b.UnplantStore(bpt)
-	f := b.FetchInt(amem.Data, machine.DataBase+8, 4)
-	if err := b.Run(); err != nil {
-		t.Fatal(err)
-	}
+	b := c.NewBatch(3)
+	b.PlantStore(bpt, a.BreakInstr())
+	b.UnplantStore(bpt)
+	b.FetchInt(amem.Data, machine.DataBase+8, 4)
+	res := b.Run()
+	s, u, f := res[0], res[1], res[2]
 	if s.Err != nil || u.Err != nil || f.Err != nil || f.Val != 7 {
 		t.Fatalf("fallback batch: %v %v %v val=%d", s.Err, u.Err, f.Err, f.Val)
 	}
@@ -525,11 +523,13 @@ func TestStatsConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		b := c.NewBatch()
+		b := c.NewBatch(2)
 		b.FetchInt(amem.Data, machine.DataBase, 4)
 		b.FetchBytes(amem.Code, machine.TextBase, 8)
-		if err := b.Run(); err != nil {
-			t.Fatal(err)
+		for _, r := range b.Run() {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
 		}
 		if i%50 == 0 {
 			c.ResetStats()

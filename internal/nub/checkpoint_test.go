@@ -291,7 +291,7 @@ func TestCloseSessionIdempotent(t *testing.T) {
 	}
 	defer conn.Close()
 	// Unknown session, from the lobby.
-	if _, err := c.roundTrip(&Msg{Kind: MCloseSession, Val: 9999}, MOK); err != nil {
+	if _, err := c.roundTrip(&Msg{Kind: MCloseSession, Val: 9999}); err != nil {
 		t.Fatalf("close of unknown session: %v", err)
 	}
 	// Double close.
@@ -302,7 +302,7 @@ func TestCloseSessionIdempotent(t *testing.T) {
 	if err := c.CloseSession(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.roundTrip(&Msg{Kind: MCloseSession, Val: id}, MOK); err != nil {
+	if _, err := c.roundTrip(&Msg{Kind: MCloseSession, Val: id}); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
 	// Close of a passivated session drops the stored checkpoint.
@@ -326,7 +326,7 @@ func TestCloseSessionIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	if _, err := c2.roundTrip(&Msg{Kind: MCloseSession, Val: id}, MOK); err != nil {
+	if _, err := c2.roundTrip(&Msg{Kind: MCloseSession, Val: id}); err != nil {
 		t.Fatalf("close of passivated session: %v", err)
 	}
 	if _, err := c2.AttachSession(id); err == nil || !strings.Contains(err.Error(), "no such session") {

@@ -202,32 +202,22 @@ func (c *Client) adopt(rw io.ReadWriter, verify bool) error {
 	return nil
 }
 
-// attachWire binds the connection to session id, speaking the wire
-// directly — roundTrip would recurse into reconnection, and a failure
-// here must fail the adoption attempt instead. With verify set the
-// MSession reply must match the identity the session began with;
-// without it the reply establishes that identity.
+// attachWire binds the connection to session id in one exchange —
+// roundTrip would recurse into reconnection, and a failure here must
+// fail the adoption attempt instead. With verify set the MSession
+// reply must match the identity the session began with; without it the
+// reply establishes that identity.
 func (c *Client) attachWire(id uint64, verify bool) error {
-	if err := c.writeWire(&Msg{Kind: MAttachSession, Val: id}); err != nil {
-		return err
-	}
-	rep, err := c.readWire()
+	rep, _, err := c.exchange(&Msg{Kind: MAttachSession, Val: id})
 	if err != nil {
 		return err
 	}
-	c.stats.RoundTrips.Add(1)
 	return c.adoptSession(rep, verify)
 }
 
 // adoptSession installs the identity carried by an MSession reply and
 // reads the session's replayed stop event.
 func (c *Client) adoptSession(rep *Msg, verify bool) error {
-	if rep.Kind == MError {
-		return errors.New("nub: " + string(rep.Data))
-	}
-	if rep.Kind != MSession {
-		return fmt.Errorf("nub: expected %v, got %v", MSession, rep.Kind)
-	}
 	archName, ctxAddr, ctxSize := string(rep.Data), rep.Addr, rep.Size
 	a, ok := arch.Lookup(archName)
 	if !ok {
@@ -249,20 +239,13 @@ func (c *Client) adoptSession(rep *Msg, verify bool) error {
 }
 
 // resyncPlanted asks the just-adopted connection for the nub's planted
-// breakpoints. It speaks the wire directly — roundTrip would recurse
-// into reconnection on failure, and a failure here must instead fail
-// this adoption attempt.
+// breakpoints in one exchange — roundTrip would recurse into
+// reconnection on failure, and a failure here must instead fail this
+// adoption attempt.
 func (c *Client) resyncPlanted() error {
-	if err := c.writeWire(&Msg{Kind: MListPlanted}); err != nil {
-		return err
-	}
-	rep, err := c.readWire()
+	rep, _, err := c.exchange(&Msg{Kind: MListPlanted})
 	if err != nil {
 		return err
-	}
-	c.stats.RoundTrips.Add(1)
-	if rep.Kind != MPlanted {
-		return fmt.Errorf("nub: expected %v, got %v", MPlanted, rep.Kind)
 	}
 	recs, err := parsePlanted(rep.Data)
 	if err != nil {
@@ -363,17 +346,8 @@ func Dial(addr string) (*Client, net.Conn, error) {
 	return c, conn, nil
 }
 
-// writeWire encodes one message under the deadline, classifying any
+// readWire decodes one message under the deadline, classifying any
 // failure as a connection loss.
-func (c *Client) writeWire(m *Msg) error {
-	if err := c.guarded(func() error { return WriteMsg(c.conn, m) }); err != nil {
-		return fmt.Errorf("%w writing %v: %v", ErrConnLost, m.Kind, err)
-	}
-	c.stats.MsgsSent.Add(1)
-	return nil
-}
-
-// readWire decodes one message under the deadline.
 func (c *Client) readWire() (*Msg, error) {
 	var m *Msg
 	err := c.guarded(func() error {
@@ -428,58 +402,66 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// readEvent reads the stop event a handshake replays after its
+// welcome or MSession reply.
 func (c *Client) readEvent() (*Event, error) {
 	m, err := c.readWire()
 	if err != nil {
 		return nil, err
 	}
-	switch m.Kind {
-	case MEvent:
-		return &Event{Sig: arch.Signal(m.Sig), Code: int(m.Code), PC: uint32(m.Val), Ctx: m.Addr}, nil
-	case MExited:
-		return &Event{Exited: true, Status: int(m.Code)}, nil
-	case MError:
-		// The nub refused or could not complete the resume (a recovered
-		// server panic, a service connection bound to no session): a
-		// clean protocol error on a healthy wire, not a connection loss.
-		// A rolled-back resume is marked retryable — the session is back
-		// at the state the resume saw.
-		if m.Code == CodeRolledBack {
-			return nil, fmt.Errorf("%w: %s", ErrRolledBack, m.Data)
-		}
-		return nil, errors.New("nub: " + string(m.Data))
-	default:
-		return nil, fmt.Errorf("nub: expected event, got %v", m.Kind)
+	if err := checkReply(m, MEvent); err != nil {
+		return nil, err
 	}
+	return event(m), nil
 }
 
-// exchange performs one request/reply on the current connection.
-// delivered reports whether the request was fully written — if so, the
-// nub may have executed it even when the reply was lost.
-func (c *Client) exchange(req *Msg, want MsgKind) (rep *Msg, delivered bool, err error) {
-	// The gate closes before the write: the nub may read, run and
-	// answer a delivered request before writeWire returns.
+// event decodes an MEvent or MExited message.
+func event(m *Msg) *Event {
+	if m.Kind == MExited {
+		return &Event{Exited: true, Status: int(m.Code)}
+	}
+	return &Event{Sig: arch.Signal(m.Sig), Code: int(m.Code), PC: uint32(m.Val), Ctx: m.Addr}
+}
+
+// checkReply accepts a reply of kind want (an MExited answers for an
+// MEvent). An MError reply is the nub's refusal on a healthy wire, not
+// a connection loss; a rolled-back one is marked retryable, since the
+// session is back at the state the request saw.
+func checkReply(rep *Msg, want MsgKind) error {
+	switch {
+	case rep.Kind == MError && rep.Code == CodeRolledBack:
+		return fmt.Errorf("%w: %s", ErrRolledBack, rep.Data)
+	case rep.Kind == MError:
+		return errors.New("nub: " + string(rep.Data))
+	case rep.Kind != want && (want != MEvent || rep.Kind != MExited):
+		return fmt.Errorf("nub: expected %v, got %v", want, rep.Kind)
+	}
+	return nil
+}
+
+// exchange writes one request on the current connection, reads its
+// reply, counts the round trip and checks the reply against the kind
+// table. delivered reports whether the request was fully written — if
+// so, the nub may have executed it even when the reply was lost.
+//
+// For a request that is not idempotent the replay gate closes before
+// the write (the nub may read, run and answer a delivered request
+// before the write returns); the caller reopens it once it holds all
+// the request's answer.
+func (c *Client) exchange(req *Msg) (rep *Msg, delivered bool, err error) {
 	if !reqIdempotent(req) {
 		c.replayable.Store(false)
 	}
-	if err := c.writeWire(req); err != nil {
-		c.replayable.Store(true)
-		return nil, false, err
+	if err := c.guarded(func() error { return WriteMsg(c.conn, req) }); err != nil {
+		return nil, false, fmt.Errorf("%w writing %v: %v", ErrConnLost, req.Kind, err)
 	}
-	rep, err = c.readWire()
-	c.replayable.Store(true)
-	if err != nil {
+	c.stats.MsgsSent.Add(1)
+	if rep, err = c.readWire(); err != nil {
 		return nil, true, err
 	}
 	c.stats.RoundTrips.Add(1)
-	if rep.Kind == MError {
-		if rep.Code == CodeRolledBack {
-			return nil, true, fmt.Errorf("%w: %s", ErrRolledBack, rep.Data)
-		}
-		return nil, true, errors.New("nub: " + string(rep.Data))
-	}
-	if rep.Kind != want {
-		return nil, true, fmt.Errorf("nub: expected %v, got %v", want, rep.Kind)
+	if err := checkReply(rep, kinds[req.Kind].reply); err != nil {
+		return nil, true, err
 	}
 	return rep, true, nil
 }
@@ -490,9 +472,10 @@ func (c *Client) exchange(req *Msg, want MsgKind) (rep *Msg, delivered bool, err
 // completed, so the nub never saw a whole message. A delivered store
 // or plant whose reply was lost surfaces the error instead: the
 // session is reconnected, but whether the request executed is unknown.
-func (c *Client) roundTrip(req *Msg, want MsgKind) (*Msg, error) {
+func (c *Client) roundTrip(req *Msg) (*Msg, error) {
 	for replay := 0; ; replay++ {
-		rep, delivered, err := c.exchange(req, want)
+		rep, delivered, err := c.exchange(req)
+		c.replayable.Store(true)
 		if err == nil {
 			return rep, nil
 		}
@@ -581,6 +564,90 @@ func cacheable(space amem.Space) bool {
 	return space == amem.Code || space == amem.Data
 }
 
+// serve answers a fetch from the cache when one cached range holds all
+// its bytes, counting the hit or the miss. Requests other than integer
+// and byte fetches are never served, and count nothing.
+func (c *Client) serve(m *Msg) (Result, bool) {
+	space := amem.Space(m.Space)
+	if c.cache == nil || !cacheable(space) {
+		return Result{}, false
+	}
+	switch {
+	case m.Kind == MFetchInt:
+		if v, ok := c.cache.serveInt(c.order, space, m.Addr, int(m.Size)); ok {
+			c.stats.CacheHits.Add(1)
+			return Result{Val: v}, true
+		}
+	case m.Kind == MFetchBytes && m.Size > 0:
+		if b, ok := c.cache.lookup(space, m.Addr, int(m.Size)); ok {
+			c.stats.CacheHits.Add(1)
+			return Result{Data: append([]byte(nil), b...)}, true
+		}
+	default:
+		return Result{}, false
+	}
+	c.stats.CacheMisses.Add(1)
+	return Result{}, false
+}
+
+// settle applies what a request's successful reply tells the cache
+// about target memory, and returns the request's result. Fetched bytes
+// are inserted; an integer or byte store patches the cached copy (a
+// plant writes its trap through it); a float store, which the nub may
+// word-swap on the way in, evicts 12 bytes; and an unplant, whose
+// restored bytes only the nub knows, evicts 16.
+func (c *Client) settle(req, rep *Msg) Result {
+	r := Result{Val: rep.Val, Data: rep.Data}
+	space := amem.Space(req.Space)
+	if c.cache == nil || !cacheable(space) {
+		return r
+	}
+	switch req.Kind {
+	case MFetchInt:
+		if b := c.word(req.Size, rep.Val); b != nil {
+			c.cache.insert(space, req.Addr, b)
+		}
+	case MStoreInt:
+		if b := c.word(req.Size, req.Val); b != nil {
+			c.cache.patch(space, req.Addr, b)
+		} else {
+			c.cache.invalidate(space, req.Addr, max(int(req.Size), 8))
+		}
+	case MFetchBytes, MFetchLine:
+		c.cache.insert(space, req.Addr, rep.Data)
+	case MStoreBytes, MPlantStore:
+		c.cache.patch(space, req.Addr, req.Data)
+	case MStoreFloat:
+		c.cache.invalidate(space, req.Addr, 12)
+	case MUnplantStore:
+		c.cache.invalidate(space, req.Addr, 16)
+	default:
+		// No other request reveals or changes target memory.
+		return r
+	}
+	return r
+}
+
+// word is v as the target stores a size-byte integer, or nil for a
+// size past the wire's 4-byte word (or an unknown byte order).
+func (c *Client) word(size uint32, v uint64) []byte {
+	if c.order == nil || size == 0 || size > 4 {
+		return nil
+	}
+	b := make([]byte, size)
+	amem.WriteInt(c.order, b, v)
+	return b
+}
+
+// send puts one request on the wire alone and settles its reply.
+func (c *Client) send(req *Msg) Result {
+	rep, err := c.roundTrip(req)
+	if err != nil {
+		return Result{Err: err}
+	}
+	return c.settle(req, rep)
+}
+
 // readahead is how many bytes a cache-missing FetchInt pulls over the
 // wire instead of just the word asked for: one fetch of a line makes
 // the neighboring words — the rest of an array, the anchor table, the
@@ -589,115 +656,56 @@ func cacheable(space amem.Space) bool {
 // manufactures errors that an exact fetch would not have hit.
 const readahead = 256
 
-// fetchLine pulls a readahead line via MFetchLine; the reply may be
-// shorter than asked when the containing segment ends early.
-func (c *Client) fetchLine(space amem.Space, addr uint32, n int) ([]byte, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MFetchLine, Space: byte(space), Addr: addr, Size: uint32(n)}, MBytes)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Data, nil
-}
-
 // FetchInt reads a size-byte integer at addr in the given space. With
 // the cache on, a hit costs nothing on the wire and a miss pulls a
 // readahead line so neighboring fetches hit.
 func (c *Client) FetchInt(space amem.Space, addr uint32, size int) (uint64, error) {
-	if c.cache != nil && cacheable(space) {
-		if v, ok := c.cache.serveInt(c.order, space, addr, size); ok {
-			c.stats.CacheHits.Add(1)
-			return v, nil
-		}
-		c.stats.CacheMisses.Add(1)
-		if c.order != nil && size > 0 && size <= 4 {
-			// Pull a line; if it comes up short (or the line base sits
-			// in an unmapped hole) fall through to the exact fetch,
-			// which preserves the uncached error behavior bit for bit.
-			base := addr &^ (readahead/2 - 1)
-			if line, err := c.fetchLine(space, base, readahead); err == nil && len(line) > 0 {
-				c.cache.insert(space, base, line)
-				if v, ok := c.cache.serveInt(c.order, space, addr, size); ok {
-					return v, nil
-				}
+	m := Msg{Kind: MFetchInt, Space: byte(space), Addr: addr, Size: uint32(size)}
+	if r, ok := c.serve(&m); ok {
+		return r.Val, nil
+	}
+	if c.cache != nil && cacheable(space) && c.order != nil && size > 0 && size <= 4 {
+		// Pull a line; if it comes up short (or the line base sits in an
+		// unmapped hole) fall through to the exact fetch, which
+		// preserves the uncached error behavior bit for bit.
+		line := Msg{Kind: MFetchLine, Space: byte(space), Addr: addr &^ (readahead/2 - 1), Size: readahead}
+		if c.send(&line).Err == nil {
+			if v, ok := c.cache.serveInt(c.order, space, addr, size); ok {
+				return v, nil
 			}
 		}
 	}
-	rep, err := c.roundTrip(&Msg{Kind: MFetchInt, Space: byte(space), Addr: addr, Size: uint32(size)}, MValue)
-	if err != nil {
-		return 0, err
-	}
-	if c.cache != nil && cacheable(space) && c.order != nil && size > 0 && size <= 4 {
-		buf := make([]byte, size)
-		amem.WriteInt(c.order, buf, rep.Val)
-		c.cache.insert(space, addr, buf)
-	}
-	return rep.Val, nil
+	r := c.send(&m)
+	return r.Val, r.Err
 }
 
 // StoreInt writes a size-byte integer, writing through the cache.
 func (c *Client) StoreInt(space amem.Space, addr uint32, size int, val uint64) error {
-	_, err := c.roundTrip(&Msg{Kind: MStoreInt, Space: byte(space), Addr: addr, Size: uint32(size), Val: val}, MOK)
-	if err != nil || c.cache == nil || !cacheable(space) {
-		return err
-	}
-	if c.order == nil || size <= 0 || size > 4 {
-		c.cache.invalidate(space, addr, max(size, 8))
-		return nil
-	}
-	buf := make([]byte, size)
-	amem.WriteInt(c.order, buf, val)
-	c.cache.patch(space, addr, buf)
-	return nil
+	return c.send(&Msg{Kind: MStoreInt, Space: byte(space), Addr: addr, Size: uint32(size), Val: val}).Err
 }
 
 // FetchFloat reads a float of logical size 4, 8, or 10. Floats always
 // go to the wire: the nub applies machine-dependent compensation (the
 // big-endian MIPS word swap) that raw cached bytes would miss.
 func (c *Client) FetchFloat(space amem.Space, addr uint32, size int) (float64, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MFetchFloat, Space: byte(space), Addr: addr, Size: uint32(size)}, MFValue)
-	if err != nil {
-		return 0, err
-	}
-	return float64frombits(rep.Val), nil
+	r := c.send(&Msg{Kind: MFetchFloat, Space: byte(space), Addr: addr, Size: uint32(size)})
+	return float64frombits(r.Val), r.Err
 }
 
-// StoreFloat writes a float of logical size 4, 8, or 10. The cached
-// bytes under the store are evicted (the nub may word-swap on the way
-// in, so the client cannot patch them itself).
+// StoreFloat writes a float of logical size 4, 8, or 10, evicting the
+// cached bytes under it.
 func (c *Client) StoreFloat(space amem.Space, addr uint32, size int, val float64) error {
-	_, err := c.roundTrip(&Msg{Kind: MStoreFloat, Space: byte(space), Addr: addr, Size: uint32(size), Val: float64bits(val)}, MOK)
-	if err == nil && c.cache != nil && cacheable(space) {
-		c.cache.invalidate(space, addr, 12)
-	}
-	return err
-}
-
-// fetchBytesWire is FetchBytes without cache involvement.
-func (c *Client) fetchBytesWire(space amem.Space, addr uint32, n int) ([]byte, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MFetchBytes, Space: byte(space), Addr: addr, Size: uint32(n)}, MBytes)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Data, nil
+	return c.send(&Msg{Kind: MStoreFloat, Space: byte(space), Addr: addr, Size: uint32(size), Val: float64bits(val)}).Err
 }
 
 // FetchBytes reads n raw bytes, through the cache when possible.
 func (c *Client) FetchBytes(space amem.Space, addr uint32, n int) ([]byte, error) {
-	if c.cache != nil && cacheable(space) && n > 0 {
-		if b, ok := c.cache.lookup(space, addr, n); ok {
-			c.stats.CacheHits.Add(1)
-			return append([]byte(nil), b...), nil
-		}
-		c.stats.CacheMisses.Add(1)
+	m := Msg{Kind: MFetchBytes, Space: byte(space), Addr: addr, Size: uint32(n)}
+	r, ok := c.serve(&m)
+	if !ok {
+		r = c.send(&m)
 	}
-	data, err := c.fetchBytesWire(space, addr, n)
-	if err != nil {
-		return nil, err
-	}
-	if c.cache != nil && cacheable(space) {
-		c.cache.insert(space, addr, data)
-	}
-	return data, nil
+	return r.Data, r.Err
 }
 
 // Prefetch warms the cache with [addr, addr+n) in one round trip; with
@@ -717,32 +725,19 @@ func (c *Client) Prefetch(space amem.Space, addr uint32, n int) error {
 
 // StoreBytes writes raw bytes, writing through the cache.
 func (c *Client) StoreBytes(space amem.Space, addr uint32, data []byte) error {
-	_, err := c.roundTrip(&Msg{Kind: MStoreBytes, Space: byte(space), Addr: addr, Data: data}, MOK)
-	if err == nil && c.cache != nil && cacheable(space) {
-		c.cache.patch(space, addr, data)
-	}
-	return err
+	return c.send(&Msg{Kind: MStoreBytes, Space: byte(space), Addr: addr, Data: data}).Err
 }
 
 // PlantStore writes a breakpoint trap through the special planting
 // store (§7.1), so the nub remembers the overwritten instruction.
 func (c *Client) PlantStore(addr uint32, trap []byte) error {
-	_, err := c.roundTrip(&Msg{Kind: MPlantStore, Space: byte(amem.Code), Addr: addr, Data: trap}, MOK)
-	if err == nil && c.cache != nil {
-		c.cache.patch(amem.Code, addr, trap)
-	}
-	return err
+	return c.send(&Msg{Kind: MPlantStore, Space: byte(amem.Code), Addr: addr, Data: trap}).Err
 }
 
 // UnplantStore removes a planted breakpoint, restoring the original
-// instruction from the nub's record. The client does not know the
-// restored bytes, so the cached line under them is evicted.
+// instruction from the nub's record.
 func (c *Client) UnplantStore(addr uint32) error {
-	_, err := c.roundTrip(&Msg{Kind: MUnplantStore, Space: byte(amem.Code), Addr: addr}, MOK)
-	if err == nil && c.cache != nil {
-		c.cache.invalidate(amem.Code, addr, 16)
-	}
-	return err
+	return c.send(&Msg{Kind: MUnplantStore, Space: byte(amem.Code), Addr: addr}).Err
 }
 
 // PlantedRecord is one breakpoint the nub knows about.
@@ -754,7 +749,7 @@ type PlantedRecord struct {
 // ListPlanted asks the nub which breakpoints are planted — how a new
 // debugger recovers the breakpoints of a lost one (§7.1).
 func (c *Client) ListPlanted() ([]PlantedRecord, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MListPlanted}, MPlanted)
+	rep, err := c.roundTrip(&Msg{Kind: MListPlanted})
 	if err != nil {
 		return nil, err
 	}
@@ -765,7 +760,7 @@ func (c *Client) ListPlanted() ([]PlantedRecord, error) {
 // nub and sim groups of the target, and the service group when the
 // endpoint is a debug service.
 func (c *Client) Metrics() ([]Metric, error) {
-	rep, err := c.roundTrip(&Msg{Kind: MMetrics}, MMetricsReply)
+	rep, err := c.roundTrip(&Msg{Kind: MMetrics})
 	if err != nil {
 		return nil, err
 	}
@@ -795,23 +790,21 @@ func (c *Client) SessionProgram() string { return c.sessionProgram }
 
 // OpenSession asks the debug service to spawn the named program and
 // binds this connection — and every future reconnect — to the new
-// session. It speaks the wire directly: spawning is not idempotent, so
-// a loss while awaiting the reply must surface (gated on replayable for
-// fault injectors) rather than replay and spawn twice.
+// session. It makes one exchange, never replayed: spawning is not
+// idempotent, so a loss while awaiting the reply or the session's stop
+// event must surface (gated on replayable for fault injectors) rather
+// than replay and spawn twice.
 func (c *Client) OpenSession(program string) (*Event, error) {
 	if !c.sessionsOK {
 		return nil, errors.New("nub: endpoint does not speak sessions")
 	}
-	c.replayable.Store(false)
+	// The replay gate exchange closes stays closed until the session's
+	// stop event has been read.
 	defer c.replayable.Store(true)
-	if err := c.writeWire(&Msg{Kind: MOpenSession, Data: []byte(program)}); err != nil {
-		return nil, err
-	}
-	rep, err := c.readWire()
+	rep, _, err := c.exchange(&Msg{Kind: MOpenSession, Data: []byte(program)})
 	if err != nil {
 		return nil, err
 	}
-	c.stats.RoundTrips.Add(1)
 	if err := c.adoptSession(rep, false); err != nil {
 		return nil, err
 	}
@@ -842,7 +835,7 @@ func (c *Client) CloseSession() error {
 	if c.sessionID == 0 {
 		return errors.New("nub: no session bound")
 	}
-	if _, err := c.roundTrip(&Msg{Kind: MCloseSession, Val: c.sessionID}, MOK); err != nil {
+	if _, err := c.roundTrip(&Msg{Kind: MCloseSession, Val: c.sessionID}); err != nil {
 		return err
 	}
 	c.sessionID, c.sessionProgram = 0, ""
@@ -882,12 +875,12 @@ func parsePlanted(b []byte) ([]PlantedRecord, error) {
 // whole cache is invalidated first: once the target runs, no cached
 // state may be trusted again.
 //
-// Connection loss is handled like any other request: a continue whose
-// write never completed is replayed after reconnecting (the nub never
-// resumed the target), but once the continue was delivered, a lost
-// event wait surfaces the error — the reconnect handshake has already
-// replayed the nub's latched event into Last, so the caller can resync
-// from there.
+// Connection loss follows the rule for every request that changes
+// target state: a continue whose write never completed is replayed
+// after reconnecting (the nub never resumed the target), but once the
+// continue was delivered, a lost event wait surfaces the error — the
+// reconnect handshake has already replayed the nub's latched event
+// into Last, so the caller can resync from there.
 func (c *Client) Continue() (*Event, error) {
 	return c.resume(MContinue)
 }
@@ -901,58 +894,23 @@ func (c *Client) StepInst() (*Event, error) {
 	return c.resume(MStepInst)
 }
 
-// resume sends a resume request (MContinue or MStepInst) and waits for
-// the resulting event, with Continue's replay-or-surface semantics.
+// resume sends a resume request (MContinue or MStepInst) and returns
+// the event that answers it.
 func (c *Client) resume(kind MsgKind) (*Event, error) {
 	c.InvalidateCache()
-	for replay := 0; ; replay++ {
-		c.replayable.Store(false) // closed before the write, as in exchange
-		err := c.writeWire(&Msg{Kind: kind})
-		if err == nil {
-			ev, rerr := c.readEvent()
-			c.replayable.Store(true)
-			if rerr == nil {
-				c.stats.RoundTrips.Add(1)
-				c.Last = ev
-				return ev, nil
-			}
-			if errors.Is(rerr, ErrRolledBack) {
-				// The resume crashed server-side; the rollback rewound the
-				// session to the state the resume saw, so resuming again
-				// re-runs the exact same execution.
-				if replay >= maxReplays {
-					return nil, rerr
-				}
-				c.stats.Replays.Add(1)
-				continue
-			}
-			if !errors.Is(rerr, ErrConnLost) {
-				return nil, rerr
-			}
-			if re := c.reconnect(); re != nil {
-				return nil, fmt.Errorf("%w (%w)", rerr, re)
-			}
-			return nil, fmt.Errorf("%w awaiting the %v event; session reconnected at the nub's latched event", ErrConnLost, kind)
-		}
-		c.replayable.Store(true)
-		if !errors.Is(err, ErrConnLost) {
-			return nil, err
-		}
-		if re := c.reconnect(); re != nil {
-			return nil, fmt.Errorf("%w (%w)", err, re)
-		}
-		if replay >= maxReplays {
-			return nil, err
-		}
-		c.stats.Replays.Add(1)
+	rep, err := c.roundTrip(&Msg{Kind: kind})
+	if err != nil {
+		return nil, err
 	}
+	c.Last = event(rep)
+	return c.Last, nil
 }
 
 // Ping asks the nub for a sign of life: a hello request answered with
 // an OK. It touches no target state, so it is freely replayable after
 // reconnects — a cheap way to probe a session that has been idle.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(&Msg{Kind: MHello}, MOK)
+	_, err := c.roundTrip(&Msg{Kind: MHello})
 	return err
 }
 
@@ -969,14 +927,14 @@ func (c *Client) closeRaw() error {
 
 // Kill terminates the target.
 func (c *Client) Kill() error {
-	_, err := c.roundTrip(&Msg{Kind: MKill}, MOK)
+	_, err := c.roundTrip(&Msg{Kind: MKill})
 	return err
 }
 
 // Detach breaks the connection, leaving the target stopped and the nub
 // waiting for a new debugger.
 func (c *Client) Detach() error {
-	_, err := c.roundTrip(&Msg{Kind: MDetach}, MOK)
+	_, err := c.roundTrip(&Msg{Kind: MDetach})
 	return err
 }
 

@@ -103,46 +103,48 @@ const (
 
 // kindInfo is one kind's row in the protocol's single source of truth:
 // its wire name, whether it is a request (debugger → nub), whether it
-// carries a space operand that must name the code or data space, and
+// carries a space operand that must name the code or data space,
 // whether replaying it after a connection loss cannot change target
-// state.
+// state, and, for a request, the kind of its successful reply.
 type kindInfo struct {
 	name       string
 	request    bool
 	space      bool
 	idempotent bool
+	reply      MsgKind
 }
 
 // kinds is the protocol's kind table. Every MsgKind constant must have
-// a row here: String, checkRequest, and reqIdempotent all read it, and
-// the wireproto analyzer proves it total and proves every request row
-// has a dispatch arm and a client encoder — adding a kind without
-// finishing its plumbing fails the build.
+// a row here: String, checkRequest, reqIdempotent and the client's
+// reply check all read it (a resume's MEvent reply may also be an
+// MExited), and the wireproto analyzer proves it total and proves
+// every request row has a dispatch arm and a client encoder — adding a
+// kind without finishing its plumbing fails the build.
 //
 //ldb:kind-table
 var kinds = map[MsgKind]kindInfo{
-	MHello:      {name: "hello", request: true, idempotent: true},
-	MFetchInt:   {name: "fetchint", request: true, space: true, idempotent: true},
-	MStoreInt:   {name: "storeint", request: true, space: true},
-	MFetchFloat: {name: "fetchfloat", request: true, space: true, idempotent: true},
-	MStoreFloat: {name: "storefloat", request: true, space: true},
-	MFetchBytes: {name: "fetchbytes", request: true, space: true, idempotent: true},
-	MStoreBytes: {name: "storebytes", request: true, space: true},
-	MContinue:   {name: "continue", request: true},
-	MKill:       {name: "kill", request: true},
-	MDetach:     {name: "detach", request: true},
+	MHello:      {name: "hello", request: true, idempotent: true, reply: MOK},
+	MFetchInt:   {name: "fetchint", request: true, space: true, idempotent: true, reply: MValue},
+	MStoreInt:   {name: "storeint", request: true, space: true, reply: MOK},
+	MFetchFloat: {name: "fetchfloat", request: true, space: true, idempotent: true, reply: MFValue},
+	MStoreFloat: {name: "storefloat", request: true, space: true, reply: MOK},
+	MFetchBytes: {name: "fetchbytes", request: true, space: true, idempotent: true, reply: MBytes},
+	MStoreBytes: {name: "storebytes", request: true, space: true, reply: MOK},
+	MContinue:   {name: "continue", request: true, reply: MEvent},
+	MKill:       {name: "kill", request: true, reply: MOK},
+	MDetach:     {name: "detach", request: true, reply: MOK},
 	// Plants and unplants change what MListPlanted reports: replaying a
 	// delivered plant would record the trap itself as the "original"
 	// instruction.
-	MPlantStore:   {name: "plantstore", request: true, space: true},
-	MUnplantStore: {name: "unplantstore", request: true, space: true},
-	MListPlanted:  {name: "listplanted", request: true, idempotent: true},
+	MPlantStore:   {name: "plantstore", request: true, space: true, reply: MOK},
+	MUnplantStore: {name: "unplantstore", request: true, space: true, reply: MOK},
+	MListPlanted:  {name: "listplanted", request: true, idempotent: true, reply: MPlanted},
 	// An MBatch envelope is idempotent exactly when every member is;
 	// reqIdempotent handles it specially.
-	MBatch:        {name: "batch", request: true},
-	MFetchLine:    {name: "fetchline", request: true, space: true, idempotent: true},
-	MMetrics:      {name: "metrics", request: true, idempotent: true},
-	MStepInst:     {name: "stepinst", request: true},
+	MBatch:        {name: "batch", request: true, reply: MBatchReply},
+	MFetchLine:    {name: "fetchline", request: true, space: true, idempotent: true, reply: MBytes},
+	MMetrics:      {name: "metrics", request: true, idempotent: true, reply: MMetricsReply},
+	MStepInst:     {name: "stepinst", request: true, reply: MEvent},
 	MWelcome:      {name: "welcome"},
 	MValue:        {name: "value"},
 	MFValue:       {name: "fvalue"},
@@ -159,9 +161,9 @@ var kinds = map[MsgKind]kindInfo{
 	// also not replayable. MAttachSession only re-binds the connection
 	// and re-reports the latched event, so a reconnecting client may
 	// replay it freely.
-	MOpenSession:   {name: "opensession", request: true},
-	MAttachSession: {name: "attachsession", request: true, idempotent: true},
-	MCloseSession:  {name: "closesession", request: true},
+	MOpenSession:   {name: "opensession", request: true, reply: MSession},
+	MAttachSession: {name: "attachsession", request: true, idempotent: true, reply: MSession},
+	MCloseSession:  {name: "closesession", request: true, reply: MOK},
 	MSession:       {name: "session"},
 }
 

@@ -115,10 +115,6 @@ type Service struct {
 	// machine.DefaultCheckpointInterval; negative disables checkpoints
 	// entirely — and with them rollback, passivation, and resurrection.
 	CheckpointInterval int64
-	// MaxPassivated bounds the in-service store of passivated session
-	// checkpoints; the oldest record is dropped past it. Zero means
-	// DefaultMaxPassivated.
-	MaxPassivated int
 	// PassivateDir, when set, spills passivated checkpoints to disk
 	// (one session-<id>.ck file each), so a session can outlive both
 	// the pool and the bounded in-memory store.
@@ -190,9 +186,9 @@ type passiveRec struct {
 	blob []byte
 }
 
-// DefaultMaxPassivated bounds the passivated-checkpoint store when
-// Service.MaxPassivated is unset.
-const DefaultMaxPassivated = 64
+// maxPassivated bounds the in-service store of passivated session
+// checkpoints; the oldest record is dropped past it.
+const maxPassivated = 64
 
 // maxCkLog bounds the replay log between checkpoints: past it the
 // service takes a fresh checkpoint instead of letting rollback replay
@@ -611,14 +607,10 @@ func (s *Service) passivate(victim *session) {
 	pend := cloneMsg(n.pending)
 	n.mu.Unlock()
 	blob := encodeCheckpoint(victim.program, ck, pend)
-	max := s.MaxPassivated
-	if max <= 0 {
-		max = DefaultMaxPassivated
-	}
 	s.mu.Lock()
 	s.passiveSeq++
 	s.passive[victim.id] = &passiveRec{seq: s.passiveSeq, blob: blob}
-	for len(s.passive) > max {
+	for len(s.passive) > maxPassivated {
 		var oldest *passiveRec
 		var oldestID uint64
 		for id, rec := range s.passive {
