@@ -21,8 +21,9 @@ type loseReply struct {
 }
 
 func (l *loseReply) Write(p []byte) (int, error) {
-	// WriteMsg writes each 27-byte header in one call.
-	if len(p) == 27 && p[0] == byte(nub.MBatch) && l.nth > 0 {
+	// The client writes each frame in one call, so a write's first byte
+	// is its frame's kind.
+	if len(p) > 0 && p[0] == byte(nub.MBatch) && l.nth > 0 {
 		l.nth--
 		l.lose = l.nth == 0
 	}
@@ -90,10 +91,37 @@ func plantedAt(t *testing.T, c *nub.Client, addrs []uint32) int {
 	return n
 }
 
+// agree checks that bpt and the nub agree on every address in addrs:
+// bpt records a breakpoint exactly where the nub holds a trap.
+func agree(t *testing.T, m *Manager, addrs []uint32) {
+	t.Helper()
+	recs, err := m.C.ListPlanted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(map[uint32]bool)
+	for _, r := range recs {
+		held[r.Addr] = true
+	}
+	unknown, stale := 0, 0
+	for _, a := range addrs {
+		switch {
+		case held[a] && !m.IsPlanted(a):
+			unknown++
+		case !held[a] && m.IsPlanted(a):
+			stale++
+		}
+	}
+	if unknown != 0 || stale != 0 {
+		t.Errorf("nub holds %d traps bpt does not know about, bpt records %d the nub does not hold", unknown, stale)
+	}
+}
+
 // TestPlantManyRollsBackLandedEnvelopes: a plant batch that spans two
 // envelopes and loses the second one's reply still records the plants
-// of the first, which landed, so its rollback removes them and the nub
-// keeps no trap bpt does not know about.
+// of the first, which landed, and those of the second, which the nub
+// ran, so its rollback removes them all and the nub keeps no trap bpt
+// does not know about.
 func TestPlantManyRollsBackLandedEnvelopes(t *testing.T) {
 	m, addrs, lose := spanEnvelopes(t)
 	lose.nth = 4 // two envelopes of no-op checks, then the plants' second
@@ -106,11 +134,15 @@ func TestPlantManyRollsBackLandedEnvelopes(t *testing.T) {
 	if got := plantedAt(t, m.C, addrs[:nub.MaxBatch]); got != 0 {
 		t.Errorf("nub keeps %d traps of the first envelope after the rollback", got)
 	}
+	if got := plantedAt(t, m.C, addrs[nub.MaxBatch:]); got != 0 {
+		t.Errorf("nub keeps %d traps of the lost envelope after the rollback", got)
+	}
+	agree(t, m, addrs)
 }
 
 // TestRemoveManyForgetsWhatItUnplanted: an unplant batch that spans two
 // envelopes and loses the second one's reply forgets the addresses the
-// first envelope unplanted.
+// first envelope unplanted, and those the nub unplanted for the second.
 func TestRemoveManyForgetsWhatItUnplanted(t *testing.T) {
 	m, addrs, lose := spanEnvelopes(t)
 	if err := m.PlantMany(addrs); err != nil {
@@ -132,4 +164,5 @@ func TestRemoveManyForgetsWhatItUnplanted(t *testing.T) {
 	if got := plantedAt(t, m.C, addrs[:nub.MaxBatch]); got != 0 {
 		t.Errorf("nub keeps %d traps of the first envelope", got)
 	}
+	agree(t, m, addrs)
 }

@@ -92,7 +92,8 @@ func (m *Manager) IsRaw(addr uint32) bool { return m.raw[addr] }
 // protocol carries them as ordinary fetches and special stores, so an
 // MBatch envelope holds the lot). On any failure every breakpoint this
 // call planted is removed again — those of envelopes that landed
-// before a later one was lost included — so the set of planted
+// before a later one was lost included, and those of an envelope whose
+// reply was lost but which the nub ran — so the set of planted
 // breakpoints is unchanged by a failed call.
 func (m *Manager) PlantMany(addrs []uint32) error {
 	var fresh []uint32
@@ -133,6 +134,16 @@ func (m *Manager) PlantMany(addrs []uint32) error {
 			failed = r.Err
 		}
 	}
+	if nub.IsConnLost(failed) {
+		// A lost reply's members may have run: the reconnect's resync
+		// says which of this call's plants the nub holds.
+		held := m.resynced()
+		for i, a := range fresh {
+			if held[a] {
+				m.planted[a] = olds[i].Data
+			}
+		}
+	}
 	if failed != nil {
 		// Roll back whatever did get planted so a partial failure
 		// leaves the target as it was.
@@ -153,8 +164,7 @@ func (m *Manager) Remove(addr uint32) error {
 	if err := m.C.UnplantStore(addr); err != nil {
 		return err
 	}
-	delete(m.planted, addr)
-	delete(m.raw, addr)
+	m.forget(addr)
 	return nil
 }
 
@@ -185,13 +195,44 @@ func (m *Manager) RemoveMany(addrs []uint32) error {
 	var failed error
 	for i, r := range b.Run() {
 		if r.Err == nil {
-			delete(m.planted, addrs[i])
-			delete(m.raw, addrs[i])
+			m.forget(addrs[i])
 		} else if failed == nil {
 			failed = r.Err
 		}
 	}
+	if nub.IsConnLost(failed) {
+		// A lost reply's members may have run: forget the addresses the
+		// reconnect's resync says the nub no longer holds.
+		if held := m.resynced(); held != nil {
+			for _, a := range addrs {
+				if !held[a] {
+					m.forget(a)
+				}
+			}
+		}
+	}
 	return failed
+}
+
+// forget drops the record of the breakpoint at addr.
+func (m *Manager) forget(addr uint32) {
+	delete(m.planted, addr)
+	delete(m.raw, addr)
+}
+
+// resynced returns the set of addresses the nub reported planted when
+// the client last reconnected, or nil when the last reconnect failed
+// before it could ask.
+func (m *Manager) resynced() map[uint32]bool {
+	recs := m.C.ResyncedPlanted()
+	if recs == nil {
+		return nil
+	}
+	held := make(map[uint32]bool, len(recs))
+	for _, r := range recs {
+		held[r.Addr] = true
+	}
+	return held
 }
 
 // RemoveAll clears every planted breakpoint.

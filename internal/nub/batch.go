@@ -16,14 +16,17 @@ import (
 // and every reply settles into the cache exactly as the same request's
 // reply would if it were sent alone.
 type Batch struct {
-	c    *Client
-	reqs []Msg    // queued requests; a zero Kind marks one the cache answered
-	res  []Result // one per queued request, in queue order
+	c     *Client
+	reqs  []Msg    // the queued requests the cache could not answer
+	at    []int    // each request's index in res
+	res   []Result // one per queued request, in queue order
+	arena []byte   // the fetched bytes the results' Data point into
 }
 
 // Result is one batch member's outcome: Val for an integer fetch, Data
 // for a byte fetch, and Err for any member — the nub's refusal, or the
-// transport error for a member the nub never answered.
+// transport error for a member the nub never answered. Data is the
+// batch's own copy: it stays valid after later requests.
 type Result struct {
 	Val  uint64
 	Data []byte
@@ -33,7 +36,7 @@ type Result struct {
 // NewBatch starts an empty batch with room for n requests; more may be
 // queued.
 func (c *Client) NewBatch(n int) *Batch {
-	return &Batch{c: c, reqs: make([]Msg, 0, n), res: make([]Result, 0, n)}
+	return &Batch{c: c, reqs: make([]Msg, 0, n), at: make([]int, 0, n), res: make([]Result, 0, n)}
 }
 
 // FetchInt queues a size-byte integer fetch.
@@ -61,84 +64,92 @@ func (b *Batch) UnplantStore(addr uint32) {
 func (b *Batch) add(m Msg) {
 	r, served := b.c.serve(&m)
 	if served {
-		m.Kind = 0
+		r.Data = b.keep(r.Data)
+	} else {
+		b.reqs = append(b.reqs, m)
+		b.at = append(b.at, len(b.res))
 	}
-	b.reqs = append(b.reqs, m)
 	b.res = append(b.res, r)
+}
+
+// keep copies fetched bytes into the batch's arena, which is how a
+// result outlives the connection's read buffer and the cache ranges. A
+// full arena is replaced by one with room for every member at this
+// member's size — exact for a batch of like fetches, which is what
+// callers queue — and never grown, so results already cut from it stay
+// put.
+func (b *Batch) keep(data []byte) []byte {
+	if len(data) == 0 {
+		return data
+	}
+	if cap(b.arena)-len(b.arena) < len(data) {
+		b.arena = make([]byte, 0, len(data)*max(cap(b.res), 1))
+	}
+	off := len(b.arena)
+	b.arena = append(b.arena, data...)
+	return b.arena[off:len(b.arena):len(b.arena)]
 }
 
 // Run flushes the batch and returns one Result per queued request, in
 // queue order. An envelope's failure ends the run: every member it
 // left unanswered carries the error. After Run the batch is spent.
 func (b *Batch) Run() []Result {
-	for lo := 0; lo < len(b.reqs); {
-		hi, n := lo, 0
-		for ; hi < len(b.reqs) && n < MaxBatch; hi++ {
-			if b.reqs[hi].Kind != 0 {
-				n++
-			}
-		}
-		if err := b.c.flush(b.reqs[lo:hi], b.res[lo:hi], n); err != nil {
-			for i := lo; i < len(b.reqs); i++ {
-				if b.reqs[i].Kind != 0 {
-					b.res[i].Err = err
-				}
+	for lo := 0; lo < len(b.reqs); lo += MaxBatch {
+		hi := min(lo+MaxBatch, len(b.reqs))
+		if err := b.flush(b.reqs[lo:hi], b.at[lo:hi]); err != nil {
+			for _, i := range b.at[lo:] {
+				b.res[i].Err = err
 			}
 			break
 		}
-		lo = hi
 	}
 	res := b.res
-	b.reqs, b.res = nil, nil
+	b.reqs, b.at, b.res, b.arena = nil, nil, nil, nil
 	return res
 }
 
-// flush sends the n wire-bound members of reqs and settles each reply
-// into the matching slot of res: in one envelope when batching is on
-// and n is more than one, otherwise one round trip each. The error is
-// an envelope's; a member sent alone carries its own.
-func (c *Client) flush(reqs []Msg, res []Result, n int) error {
-	if !c.Batching() || n < 2 {
+// flush sends reqs and settles each reply into its result slot: in one
+// envelope when batching is on and there is more than one, otherwise
+// one round trip each. The error is an envelope's; a member sent alone
+// carries its own.
+func (b *Batch) flush(reqs []Msg, at []int) error {
+	c := b.c
+	if !c.Batching() || len(reqs) < 2 {
 		for i := range reqs {
-			if reqs[i].Kind != 0 {
-				res[i] = c.send(&reqs[i])
-			}
+			b.settle(at[i], c.send(&reqs[i]))
 		}
 		return nil
 	}
-	msgs := make([]*Msg, 0, n)
-	for i := range reqs {
-		if reqs[i].Kind != 0 {
-			msgs = append(msgs, &reqs[i])
-		}
-	}
-	env, err := EncodeBatch(MBatch, msgs)
+	env, err := EncodeBatch(c.body[:0], MBatch, reqs)
 	if err != nil {
 		return err
 	}
-	rep, err := c.roundTrip(env)
+	c.body = env.Data
+	rep, err := c.roundTrip(&env)
 	if err != nil {
 		return err
 	}
 	c.stats.Batches.Add(1)
-	c.stats.BatchedMsgs.Add(int64(len(msgs)))
-	reps, err := DecodeBatch(rep)
-	if err != nil {
+	c.stats.BatchedMsgs.Add(int64(len(reqs)))
+	if c.reps, err = DecodeBatch(c.reps[:0], &rep); err != nil {
 		return err
 	}
-	if len(reps) != len(msgs) {
-		return fmt.Errorf("nub: batch of %d requests got %d replies", len(msgs), len(reps))
+	if len(c.reps) != len(reqs) {
+		return fmt.Errorf("nub: batch of %d requests got %d replies", len(reqs), len(c.reps))
 	}
 	for i := range reqs {
-		if reqs[i].Kind == 0 {
-			continue
+		r := Result{Err: checkReply(&c.reps[i], kinds[reqs[i].Kind].reply)}
+		if r.Err == nil {
+			r = c.settle(&reqs[i], &c.reps[i])
 		}
-		if err := checkReply(reps[0], kinds[reqs[i].Kind].reply); err != nil {
-			res[i] = Result{Err: err}
-		} else {
-			res[i] = c.settle(&reqs[i], reps[0])
-		}
-		reps = reps[1:]
+		b.settle(at[i], r)
 	}
 	return nil
+}
+
+// settle records the result of the request queued at index i, copying
+// its bytes out of the connection's read buffer.
+func (b *Batch) settle(i int, r Result) {
+	r.Data = b.keep(r.Data)
+	b.res[i] = r
 }

@@ -146,7 +146,7 @@ func TestBatchRejectsControlMembers(t *testing.T) {
 	conn, shutdown := rawSession(t, n)
 	defer shutdown()
 
-	env, err := EncodeBatch(MBatch, []*Msg{
+	env, err := EncodeBatch(nil, MBatch, []Msg{
 		{Kind: MContinue},
 		{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase, Size: 4},
 		{Kind: MKill},
@@ -156,7 +156,7 @@ func TestBatchRejectsControlMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMsg(conn, env); err != nil {
+	if err := WriteMsg(conn, &env); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ReadMsg(conn)
@@ -166,7 +166,7 @@ func TestBatchRejectsControlMembers(t *testing.T) {
 	if rep.Kind != MBatchReply {
 		t.Fatalf("reply = %v", rep.Kind)
 	}
-	members, err := DecodeBatch(rep)
+	members, err := DecodeBatch(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestDecodeBatchMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeBatch(tc.env); err == nil {
+			if _, err := DecodeBatch(nil, tc.env); err == nil {
 				t.Errorf("decoded successfully, want error")
 			}
 		})
@@ -257,7 +257,7 @@ func TestDecodeBatchMalformed(t *testing.T) {
 // stated by decoding it: false for anything DecodeBatch rejects, else
 // whether every member's kind is an idempotent request.
 func idempotentByDecoding(env *Msg) bool {
-	msgs, err := DecodeBatch(env)
+	msgs, err := DecodeBatch(nil, env)
 	if err != nil {
 		return false
 	}
@@ -331,32 +331,33 @@ func TestReqIdempotentWalksHeaders(t *testing.T) {
 // would reject.
 func TestEncodeBatchLimits(t *testing.T) {
 	fetch := &Msg{Kind: MFetchInt, Space: byte(amem.Data), Addr: 16, Size: 4}
-	if _, err := EncodeBatch(MBatch, nil); err == nil {
+	if _, err := EncodeBatch(nil, MBatch, nil); err == nil {
 		t.Error("empty batch encoded")
 	}
-	over := make([]*Msg, MaxBatch+1)
+	over := make([]Msg, MaxBatch+1)
 	for i := range over {
-		over[i] = fetch
+		over[i] = *fetch
 	}
-	if _, err := EncodeBatch(MBatch, over); err == nil {
+	if _, err := EncodeBatch(nil, MBatch, over); err == nil {
 		t.Error("oversized batch encoded")
 	}
-	if _, err := EncodeBatch(MBatch, []*Msg{{Kind: MBatch}}); err == nil {
+	if _, err := EncodeBatch(nil, MBatch, []Msg{{Kind: MBatch}}); err == nil {
 		t.Error("nested envelope encoded")
 	}
-	if _, err := EncodeBatch(MFetchInt, []*Msg{fetch}); err == nil {
+	if _, err := EncodeBatch(nil, MFetchInt, []Msg{*fetch}); err == nil {
 		t.Error("non-envelope kind encoded")
 	}
 	big := &Msg{Kind: MStoreBytes, Space: byte(amem.Data), Data: make([]byte, maxDataLen/2)}
-	if _, err := EncodeBatch(MBatch, []*Msg{big, big, big}); err == nil {
+	if _, err := EncodeBatch(nil, MBatch, []Msg{*big, *big, *big}); err == nil {
 		t.Error("envelope over the payload limit encoded")
 	}
 }
 
 // FuzzDecodeBatch fuzzes the envelope decoder: arbitrary payloads and
 // counts must produce errors, never panics, a successful decode must
-// yield exactly the advertised member count, and reqIdempotent's header
-// walk must agree with the decode.
+// yield exactly the advertised member count and re-encode, member by
+// member, to exactly its payload, and reqIdempotent's header walk must
+// agree with the decode.
 func FuzzDecodeBatch(f *testing.F) {
 	fetch := &Msg{Kind: MFetchInt, Space: byte(amem.Data), Addr: 16, Size: 4}
 	var buf bytes.Buffer
@@ -373,15 +374,138 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, count uint32, payload []byte) {
 		for _, kind := range []MsgKind{MBatch, MBatchReply} {
 			env := &Msg{Kind: kind, Val: uint64(count), Data: payload}
-			msgs, err := DecodeBatch(env)
+			msgs, err := DecodeBatch(nil, env)
 			if err == nil && len(msgs) != int(count) {
 				t.Fatalf("decoded %d members, envelope said %d", len(msgs), count)
+			}
+			if err == nil {
+				var again []byte
+				for i := range msgs {
+					again = appendMsg(again, &msgs[i])
+				}
+				if !bytes.Equal(again, payload) {
+					t.Fatalf("%d members re-encode to %d bytes that differ from the %d-byte payload", len(msgs), len(again), len(payload))
+				}
 			}
 			if kind == MBatch && reqIdempotent(env) != idempotentByDecoding(env) {
 				t.Fatalf("reqIdempotent = %v, decoding says %v", reqIdempotent(env), idempotentByDecoding(env))
 			}
 		}
 	})
+}
+
+// TestCodecRoundTripAllocs: encoding a message into a reused buffer and
+// parsing it back allocates nothing, and gives back every field.
+func TestCodecRoundTripAllocs(t *testing.T) {
+	m := Msg{Kind: MPlantStore, Space: byte(amem.Code), Size: 4, Addr: 0x400100,
+		Val: 0x0102030405060708, Code: -3, Sig: 5, Data: []byte{0, 0, 0, 13}}
+	buf := appendMsg(nil, &m)
+	got, n, err := parseMsg(buf)
+	if err != nil || n != len(buf) || n != hdrLen+len(m.Data) {
+		t.Fatalf("parse: %d of %d bytes, %v", n, len(buf), err)
+	}
+	if got.Kind != m.Kind || got.Space != m.Space || got.Size != m.Size || got.Addr != m.Addr ||
+		got.Val != m.Val || got.Code != m.Code || got.Sig != m.Sig || !bytes.Equal(got.Data, m.Data) {
+		t.Fatalf("round trip: got %+v, want %+v", got, m)
+	}
+	var bad bool
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = appendMsg(buf[:0], &m)
+		got, n, err := parseMsg(buf)
+		bad = bad || err != nil || n != len(buf) || got.Val != m.Val || len(got.Data) != len(m.Data)
+	})
+	if bad {
+		t.Fatal("round trip failed inside the allocation count")
+	}
+	if allocs != 0 {
+		t.Errorf("appendMsg and parseMsg allocated %v times per round trip, want 0", allocs)
+	}
+}
+
+// TestBatchAllocsIndependentOfSize: with the cache off, every member of
+// a batch crosses the wire, and a batch of 512 fetches allocates what a
+// batch of 2 does, give or take a constant — no member costs a heap
+// object on either end of the connection.
+func TestBatchAllocsIndependentOfSize(t *testing.T) {
+	a := mips.Little
+	code := testProgram(t, a)
+	c, _, _, err := Launch(a, code, make([]byte, 64), machine.TextBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetCaching(false)
+	words := uint32(len(code) / 4)
+	run := func(n int) float64 {
+		var failed error
+		allocs := testing.AllocsPerRun(20, func() {
+			b := c.NewBatch(n)
+			for i := range n {
+				addr := machine.TextBase + 4*(uint32(i)%words)
+				if i%2 == 0 {
+					b.FetchBytes(amem.Code, addr, 4)
+				} else {
+					b.FetchInt(amem.Code, addr, 4)
+				}
+			}
+			for _, r := range b.Run() {
+				if r.Err != nil && failed == nil {
+					failed = r.Err
+				}
+			}
+		})
+		if failed != nil {
+			t.Fatalf("batch of %d: %v", n, failed)
+		}
+		return allocs
+	}
+	small, large := run(2), run(MaxBatch)
+	if large > small+2 {
+		t.Errorf("a batch of %d fetches allocated %v times, a batch of 2 %v", MaxBatch, large, small)
+	}
+}
+
+// TestBatchResultsOutliveNextRead: a batch's fetched bytes are its own —
+// the next batch on the same client, which reuses the connection's read
+// buffer (and, with the cache on, changes the ranges served from),
+// leaves them as they were.
+func TestBatchResultsOutliveNextRead(t *testing.T) {
+	for _, caching := range []bool{false, true} {
+		a := mips.Little
+		code := testProgram(t, a)
+		c, _, _, err := Launch(a, code, make([]byte, 64), machine.TextBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetCaching(caching)
+		fetch := func(lo uint32) []Result {
+			b := c.NewBatch(4)
+			for i := range uint32(4) {
+				b.FetchBytes(amem.Code, machine.TextBase+lo+4*i, 4)
+			}
+			return b.Run()
+		}
+		first := fetch(0)
+		var want [][]byte
+		for _, r := range first {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			want = append(want, bytes.Clone(r.Data))
+		}
+		// Overwrite what the first batch fetched, and refetch it and more.
+		if err := c.StoreBytes(amem.Code, machine.TextBase, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		fetch(0)
+		fetch(16)
+		for i, r := range first {
+			if !bytes.Equal(r.Data, want[i]) || !bytes.Equal(r.Data, code[4*i:4*i+4]) {
+				t.Errorf("caching %v: member %d reads % x after later batches, fetched % x", caching, i, r.Data, want[i])
+			}
+		}
+		c.Close()
+	}
 }
 
 // TestCacheInvalidationOnContinue is the regression test for the cache
@@ -581,18 +705,18 @@ func TestFetchLineTruncatesAtSegmentEnd(t *testing.T) {
 		t.Fatalf("unmapped line: %v, want MError", rep.Kind)
 	}
 	// Inside an envelope it behaves the same.
-	env, err := EncodeBatch(MBatch, []*Msg{
+	env, err := EncodeBatch(nil, MBatch, []Msg{
 		{Kind: MFetchLine, Space: byte(amem.Data), Addr: machine.DataBase + 48, Size: 256},
 		{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase, Size: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep = ask(env)
+	rep = ask(&env)
 	if rep.Kind != MBatchReply {
 		t.Fatalf("envelope reply: %v", rep.Kind)
 	}
-	subs, err := DecodeBatch(rep)
+	subs, err := DecodeBatch(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

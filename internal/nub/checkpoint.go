@@ -77,15 +77,15 @@ func (n *Nub) ReplayEvent(ev machine.Event) {
 func (n *Nub) replayEventLocked(ev machine.Event) {
 	switch ev.Kind {
 	case machine.EvStoreInt:
-		n.safeHandle(&Msg{Kind: MStoreInt, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Val: ev.Val})
+		n.safeHandle(&Msg{Kind: MStoreInt, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Val: ev.Val}, nil)
 	case machine.EvStoreFloat:
-		n.safeHandle(&Msg{Kind: MStoreFloat, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Val: ev.Val})
+		n.safeHandle(&Msg{Kind: MStoreFloat, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Val: ev.Val}, nil)
 	case machine.EvStoreBytes:
-		n.safeHandle(&Msg{Kind: MStoreBytes, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Data: ev.Data})
+		n.safeHandle(&Msg{Kind: MStoreBytes, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Data: ev.Data}, nil)
 	case machine.EvPlant:
-		n.safeHandle(&Msg{Kind: MPlantStore, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Data: ev.Data})
+		n.safeHandle(&Msg{Kind: MPlantStore, Space: ev.Space, Addr: ev.Addr, Size: ev.Size, Data: ev.Data}, nil)
 	case machine.EvUnplant:
-		n.safeHandle(&Msg{Kind: MUnplantStore, Space: ev.Space, Addr: ev.Addr, Size: ev.Size})
+		n.safeHandle(&Msg{Kind: MUnplantStore, Space: ev.Space, Addr: ev.Addr, Size: ev.Size}, nil)
 	case machine.EvContinue, machine.EvStep:
 		if n.P.State == machine.StateExited {
 			return
@@ -216,14 +216,9 @@ func encodeCheckpoint(program string, ck *machine.Checkpoint, pending *Msg) []by
 		wu32(&b, uint32(len(old)))
 		b.Write(old)
 	}
-	if pending != nil {
-		var pb bytes.Buffer
-		if WriteMsg(&pb, pending) == nil {
-			wu8(&b, 1)
-			b.Write(pb.Bytes())
-		} else {
-			wu8(&b, 0)
-		}
+	if pending != nil && len(pending.Data) <= maxDataLen {
+		wu8(&b, 1)
+		b.Write(appendMsg(b.AvailableBuffer(), pending))
 	} else {
 		wu8(&b, 0)
 	}
@@ -419,13 +414,14 @@ func decodeCheckpoint(b []byte) (*sessionCheckpoint, error) {
 	}
 
 	if r.u8() != 0 && r.err == nil {
-		br := bytes.NewReader(r.b)
-		m, err := ReadMsg(br)
+		m, n, err := parseMsg(r.b)
 		if err != nil {
 			r.fail("pending event: %v", err)
 		} else {
-			sc.pending = m
-			r.b = r.b[len(r.b)-br.Len():]
+			// The event outlives the blob's decode: its own copy.
+			m.Data = bytes.Clone(m.Data)
+			sc.pending = &m
+			r.b = r.b[n:]
 		}
 	}
 

@@ -25,10 +25,10 @@ func ckTestNub(t *testing.T) *Nub {
 	if err := p.ReadBytes(machine.TextBase+4, orig); err != nil {
 		t.Fatal(err)
 	}
-	if rep := n.safeHandle(&Msg{Kind: MPlantStore, Space: byte(amem.Code), Addr: machine.TextBase + 4, Size: 4, Data: orig}); rep.Kind != MOK {
+	if rep, _, _ := parseMsg(n.safeHandle(&Msg{Kind: MPlantStore, Space: byte(amem.Code), Addr: machine.TextBase + 4, Size: 4, Data: orig}, nil)); rep.Kind != MOK {
 		t.Fatalf("plant: %s", rep.Data)
 	}
-	if rep := n.safeHandle(&Msg{Kind: MStoreInt, Space: byte(amem.Data), Addr: machine.DataBase + 8, Size: 4, Val: 0xabcd}); rep.Kind != MOK {
+	if rep, _, _ := parseMsg(n.safeHandle(&Msg{Kind: MStoreInt, Space: byte(amem.Data), Addr: machine.DataBase + 8, Size: 4, Val: 0xabcd}, nil)); rep.Kind != MOK {
 		t.Fatalf("store: %s", rep.Data)
 	}
 	return n

@@ -1,6 +1,7 @@
 package nub
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,8 +79,14 @@ const (
 // re-validates the welcome, resyncs planted breakpoints, drops the
 // cache, and replays the interrupted request when that is safe.
 type Client struct {
-	conn     io.ReadWriter // counted view of raw
-	raw      io.ReadWriter // the connection itself (deadlines, close)
+	conn io.ReadWriter // counted view of raw
+	raw  io.ReadWriter // the connection itself (deadlines, close)
+	// f is the client's end of the codec over conn. Its buffers, the
+	// envelope payload in body and the envelope reply's members in reps
+	// belong to the client and survive reconnects.
+	f        framer
+	body     []byte
+	reps     []Msg
 	ArchName string
 	CtxAddr  uint32
 	CtxSize  uint32
@@ -137,6 +144,7 @@ func Connect(conn io.ReadWriter) (*Client, error) {
 func (c *Client) adopt(rw io.ReadWriter, verify bool) error {
 	c.raw = rw
 	c.conn = &countRW{rw: rw, s: &c.stats}
+	c.f.rw = c.conn
 	w, err := c.readWire()
 	if err != nil {
 		return err
@@ -217,7 +225,7 @@ func (c *Client) attachWire(id uint64, verify bool) error {
 
 // adoptSession installs the identity carried by an MSession reply and
 // reads the session's replayed stop event.
-func (c *Client) adoptSession(rep *Msg, verify bool) error {
+func (c *Client) adoptSession(rep Msg, verify bool) error {
 	archName, ctxAddr, ctxSize := string(rep.Data), rep.Addr, rep.Size
 	a, ok := arch.Lookup(archName)
 	if !ok {
@@ -256,7 +264,9 @@ func (c *Client) resyncPlanted() error {
 }
 
 // ResyncedPlanted returns the planted-breakpoint records the nub
-// reported during the most recent reconnect (nil before the first).
+// reported during the most recent reconnect: nil before the first, and
+// when that reconnect failed before it could ask; empty, not nil, when
+// the nub holds none.
 func (c *Client) ResyncedPlanted() []PlantedRecord { return c.planted }
 
 // SetTimeout bounds every wire request (and the event wait of a
@@ -347,16 +357,17 @@ func Dial(addr string) (*Client, net.Conn, error) {
 }
 
 // readWire decodes one message under the deadline, classifying any
-// failure as a connection loss.
-func (c *Client) readWire() (*Msg, error) {
-	var m *Msg
+// failure as a connection loss. The message's Data is valid until the
+// next read.
+func (c *Client) readWire() (Msg, error) {
+	var m Msg
 	err := c.guarded(func() error {
 		var e error
-		m, e = ReadMsg(c.conn)
+		m, e = c.f.read()
 		return e
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w reading reply: %v", ErrConnLost, err)
+		return Msg{}, fmt.Errorf("%w reading reply: %v", ErrConnLost, err)
 	}
 	c.stats.MsgsReceived.Add(1)
 	return m, nil
@@ -409,10 +420,10 @@ func (c *Client) readEvent() (*Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkReply(m, MEvent); err != nil {
+	if err := checkReply(&m, MEvent); err != nil {
 		return nil, err
 	}
-	return event(m), nil
+	return event(&m), nil
 }
 
 // event decodes an MEvent or MExited message.
@@ -448,20 +459,23 @@ func checkReply(rep *Msg, want MsgKind) error {
 // the write (the nub may read, run and answer a delivered request
 // before the write returns); the caller reopens it once it holds all
 // the request's answer.
-func (c *Client) exchange(req *Msg) (rep *Msg, delivered bool, err error) {
+//
+// The request goes out as one frame in one Write; the reply's Data is
+// valid until the next read on the connection.
+func (c *Client) exchange(req *Msg) (rep Msg, delivered bool, err error) {
 	if !reqIdempotent(req) {
 		c.replayable.Store(false)
 	}
-	if err := c.guarded(func() error { return WriteMsg(c.conn, req) }); err != nil {
-		return nil, false, fmt.Errorf("%w writing %v: %v", ErrConnLost, req.Kind, err)
+	if err := c.guarded(func() error { return c.f.write(req) }); err != nil {
+		return Msg{}, false, fmt.Errorf("%w writing %v: %v", ErrConnLost, req.Kind, err)
 	}
 	c.stats.MsgsSent.Add(1)
 	if rep, err = c.readWire(); err != nil {
-		return nil, true, err
+		return Msg{}, true, err
 	}
 	c.stats.RoundTrips.Add(1)
-	if err := checkReply(rep, kinds[req.Kind].reply); err != nil {
-		return nil, true, err
+	if err := checkReply(&rep, kinds[req.Kind].reply); err != nil {
+		return Msg{}, true, err
 	}
 	return rep, true, nil
 }
@@ -472,7 +486,7 @@ func (c *Client) exchange(req *Msg) (rep *Msg, delivered bool, err error) {
 // completed, so the nub never saw a whole message. A delivered store
 // or plant whose reply was lost surfaces the error instead: the
 // session is reconnected, but whether the request executed is unknown.
-func (c *Client) roundTrip(req *Msg) (*Msg, error) {
+func (c *Client) roundTrip(req *Msg) (Msg, error) {
 	for replay := 0; ; replay++ {
 		rep, delivered, err := c.exchange(req)
 		c.replayable.Store(true)
@@ -485,7 +499,7 @@ func (c *Client) roundTrip(req *Msg) (*Msg, error) {
 			// even for stores, plants, and resumes. Deterministic crashes
 			// surface once the replay budget runs out.
 			if replay >= maxReplays {
-				return nil, fmt.Errorf("nub: %v failed after %d replays: %w", req.Kind, replay, err)
+				return Msg{}, fmt.Errorf("nub: %v failed after %d replays: %w", req.Kind, replay, err)
 			}
 			c.stats.Replays.Add(1)
 			c.InvalidateCache()
@@ -495,13 +509,13 @@ func (c *Client) roundTrip(req *Msg) (*Msg, error) {
 			return rep, err
 		}
 		if rerr := c.reconnect(); rerr != nil {
-			return nil, fmt.Errorf("%w (%w)", err, rerr)
+			return Msg{}, fmt.Errorf("%w (%w)", err, rerr)
 		}
 		if delivered && !reqIdempotent(req) {
-			return nil, fmt.Errorf("%w during %v; session reconnected, but the request may have executed and was not replayed", ErrConnLost, req.Kind)
+			return Msg{}, fmt.Errorf("%w during %v; session reconnected, but the request may have executed and was not replayed", ErrConnLost, req.Kind)
 		}
 		if replay >= maxReplays {
-			return nil, fmt.Errorf("nub: %v failed after %d replays: %w", req.Kind, replay, err)
+			return Msg{}, fmt.Errorf("nub: %v failed after %d replays: %w", req.Kind, replay, err)
 		}
 		c.stats.Replays.Add(1)
 	}
@@ -513,6 +527,9 @@ func (c *Client) roundTrip(req *Msg) (*Msg, error) {
 // the cache). A welcome mismatch aborts immediately — redialing a
 // different target is not a transient failure.
 func (c *Client) reconnect() error {
+	// Only a successful resync may leave a planted list behind: a
+	// caller reconciling after a lost reply must not read a stale one.
+	c.planted = nil
 	if c.redial == nil {
 		return errors.New("no redial endpoint configured")
 	}
@@ -566,7 +583,8 @@ func cacheable(space amem.Space) bool {
 
 // serve answers a fetch from the cache when one cached range holds all
 // its bytes, counting the hit or the miss. Requests other than integer
-// and byte fetches are never served, and count nothing.
+// and byte fetches are never served, and count nothing. A served byte
+// fetch's Data points into the cache; the caller copies it.
 func (c *Client) serve(m *Msg) (Result, bool) {
 	space := amem.Space(m.Space)
 	if c.cache == nil || !cacheable(space) {
@@ -581,7 +599,7 @@ func (c *Client) serve(m *Msg) (Result, bool) {
 	case m.Kind == MFetchBytes && m.Size > 0:
 		if b, ok := c.cache.lookup(space, m.Addr, int(m.Size)); ok {
 			c.stats.CacheHits.Add(1)
-			return Result{Data: append([]byte(nil), b...)}, true
+			return Result{Data: b}, true
 		}
 	default:
 		return Result{}, false
@@ -591,11 +609,11 @@ func (c *Client) serve(m *Msg) (Result, bool) {
 }
 
 // settle applies what a request's successful reply tells the cache
-// about target memory, and returns the request's result. Fetched bytes
-// are inserted; an integer or byte store patches the cached copy (a
-// plant writes its trap through it); a float store, which the nub may
-// word-swap on the way in, evicts 12 bytes; and an unplant, whose
-// restored bytes only the nub knows, evicts 16.
+// about target memory, and returns the request's result, whose Data is
+// the reply's. Fetched bytes are inserted; an integer or byte store
+// patches the cached copy (a plant writes its trap through it); a float
+// store, which the nub may word-swap on the way in, evicts 12 bytes;
+// and an unplant, whose restored bytes only the nub knows, evicts 16.
 func (c *Client) settle(req, rep *Msg) Result {
 	r := Result{Val: rep.Val, Data: rep.Data}
 	space := amem.Space(req.Space)
@@ -645,7 +663,7 @@ func (c *Client) send(req *Msg) Result {
 	if err != nil {
 		return Result{Err: err}
 	}
-	return c.settle(req, rep)
+	return c.settle(req, &rep)
 }
 
 // readahead is how many bytes a cache-missing FetchInt pulls over the
@@ -698,14 +716,15 @@ func (c *Client) StoreFloat(space amem.Space, addr uint32, size int, val float64
 	return c.send(&Msg{Kind: MStoreFloat, Space: byte(space), Addr: addr, Size: uint32(size), Val: float64bits(val)}).Err
 }
 
-// FetchBytes reads n raw bytes, through the cache when possible.
+// FetchBytes reads n raw bytes, through the cache when possible. The
+// bytes are the caller's own.
 func (c *Client) FetchBytes(space amem.Space, addr uint32, n int) ([]byte, error) {
 	m := Msg{Kind: MFetchBytes, Space: byte(space), Addr: addr, Size: uint32(n)}
 	r, ok := c.serve(&m)
 	if !ok {
 		r = c.send(&m)
 	}
-	return r.Data, r.Err
+	return bytes.Clone(r.Data), r.Err
 }
 
 // Prefetch warms the cache with [addr, addr+n) in one round trip; with
@@ -857,7 +876,7 @@ func (c *Client) ServiceStats() (ServiceStatsReport, error) {
 // parsePlanted decodes an MPlanted payload: (addr32, len32, bytes)
 // records, little-endian, sorted by address on the wire.
 func parsePlanted(b []byte) ([]PlantedRecord, error) {
-	var out []PlantedRecord
+	out := []PlantedRecord{}
 	for len(b) >= 8 {
 		addr := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 		n := int(uint32(b[4]) | uint32(b[5])<<8 | uint32(b[6])<<16 | uint32(b[7])<<24)
@@ -902,7 +921,7 @@ func (c *Client) resume(kind MsgKind) (*Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Last = event(rep)
+	c.Last = event(&rep)
 	return c.Last, nil
 }
 
@@ -932,10 +951,16 @@ func (c *Client) Kill() error {
 }
 
 // Detach breaks the connection, leaving the target stopped and the nub
-// waiting for a new debugger.
+// waiting for a new debugger. The nub closes its end once it has
+// answered, and so does the client: a request made after Detach then
+// fails to write instead of landing in a dead connection, and is
+// replayed after a reconnect like any request that never got out.
 func (c *Client) Detach() error {
-	_, err := c.roundTrip(&Msg{Kind: MDetach})
-	return err
+	if _, err := c.roundTrip(&Msg{Kind: MDetach}); err != nil {
+		return err
+	}
+	c.closeRaw()
+	return nil
 }
 
 // Wire is the abstract memory that holds the connection to the nub

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -290,19 +291,30 @@ func validSpace(s byte) bool { return s == byte(amem.Code) || s == byte(amem.Dat
 
 // errMsg builds an MError reply.
 func errMsg(format string, args ...any) *Msg {
-	return &Msg{Kind: MError, Data: []byte(fmt.Sprintf(format, args...))}
+	return &Msg{Kind: MError, Data: fmt.Appendf(nil, format, args...)}
+}
+
+// appendErr appends an MError reply, formatting its text in place.
+func appendErr(dst []byte, format string, args ...any) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, &Msg{Kind: MError}, 0)
+	return endPayload(fmt.Appendf(dst, format, args...), start)
 }
 
 // handlers dispatches validated requests to their servicing methods.
-// It is indexed by kind byte, filled once at init, and read only from
-// safeHandle, behind the recover and after checkRequest — properties
-// the recoverguard and wireproto analyzers enforce. The control
+// Each appends its reply frame to dst and returns the extended slice:
+// a reply carrying fetched bytes reads them straight into the frame,
+// so no reply is built on the heap. The table is indexed by kind byte,
+// filled once at init, and read only from safeHandle, behind the
+// recover and after checkRequest — properties the recoverguard and
+// wireproto analyzers enforce. The request travels by value: a pointer
+// passed through the table would escape to the heap. The control
 // messages that own the connection (continue, step, kill, detach) are
-// deliberately absent: they are cases in Serve's loop, because their
+// deliberately absent: they are cases in serveOneLocked, because their
 // replies interleave with resuming the target.
 //
 //ldb:dispatch-table
-var handlers [256]func(*Nub, *Msg) *Msg
+var handlers [256]func(n *Nub, m Msg, dst []byte) []byte
 
 func init() {
 	handlers[MHello] = (*Nub).handleHello
@@ -342,110 +354,112 @@ func (n *Nub) checkRequest(m *Msg) error {
 	return nil
 }
 
-// safeHandle validates and services one request with panic containment:
-// a panic in a handler — a corrupted segment list, an input no handler
-// foresaw — becomes an MError reply and a RecoveredPanics count, never
-// a dead target (the nub must not take the target down with it, §4.2).
-func (n *Nub) safeHandle(m *Msg) (rep *Msg) {
+// safeHandle validates and services one request with panic containment,
+// appending its reply to dst: a panic in a handler — a corrupted segment
+// list, an input no handler foresaw — truncates whatever the handler
+// had appended and becomes an MError reply and a RecoveredPanics count,
+// never a dead target (the nub must not take the target down with it,
+// §4.2).
+func (n *Nub) safeHandle(m *Msg, dst []byte) (out []byte) {
 	if err := n.checkRequest(m); err != nil {
 		n.Stats.MalformedFrames.Add(1)
-		return &Msg{Kind: MError, Data: []byte(err.Error())}
+		return appendErr(dst, "%s", err)
 	}
+	start := len(dst)
 	defer func() {
 		if r := recover(); r != nil {
 			n.Stats.RecoveredPanics.Add(1)
-			rep = &Msg{Kind: MError, Data: []byte(fmt.Sprintf("nub: recovered from panic: %v", r))}
+			out = appendErr(dst[:start], "nub: recovered from panic: %v", r)
 		}
 	}()
 	h := handlers[m.Kind]
 	if h == nil {
 		// A valid request kind with no table entry: a control message
 		// (continue, step, kill, detach) sent outside Serve's loop.
-		return errMsg("unexpected request %v", m.Kind)
+		return appendErr(dst, "unexpected request %v", m.Kind)
 	}
-	return h(n, m)
+	return h(n, *m, dst)
 }
 
 // handleHello answers the liveness probe: the connection and the nub
 // are alive, nothing else is touched.
-func (n *Nub) handleHello(m *Msg) *Msg {
-	return &Msg{Kind: MOK}
+func (n *Nub) handleHello(m Msg, dst []byte) []byte {
+	return appendMsg(dst, &Msg{Kind: MOK})
 }
 
 // handlePlantStore services a store used only for planting breakpoints:
 // remember what it overwrites.
-func (n *Nub) handlePlantStore(m *Msg) *Msg {
+func (n *Nub) handlePlantStore(m Msg, dst []byte) []byte {
 	p := n.P
 	old := make([]byte, len(m.Data))
 	if err := p.ReadBytes(m.Addr, old); err != nil {
-		return errMsg("plant %#x: %v", m.Addr, err)
+		return appendErr(dst, "plant %#x: %v", m.Addr, err)
 	}
 	if err := p.WriteBytes(m.Addr, m.Data); err != nil {
-		return errMsg("plant %#x: %v", m.Addr, err)
+		return appendErr(dst, "plant %#x: %v", m.Addr, err)
 	}
 	n.planted[m.Addr] = old
-	return &Msg{Kind: MOK}
+	return appendMsg(dst, &Msg{Kind: MOK})
 }
 
-func (n *Nub) handleUnplantStore(m *Msg) *Msg {
+func (n *Nub) handleUnplantStore(m Msg, dst []byte) []byte {
 	old, ok := n.planted[m.Addr]
 	if !ok {
-		return errMsg("no breakpoint planted at %#x", m.Addr)
+		return appendErr(dst, "no breakpoint planted at %#x", m.Addr)
 	}
 	if err := n.P.WriteBytes(m.Addr, old); err != nil {
-		return errMsg("unplant %#x: %v", m.Addr, err)
+		return appendErr(dst, "unplant %#x: %v", m.Addr, err)
 	}
 	delete(n.planted, m.Addr)
-	return &Msg{Kind: MOK}
+	return appendMsg(dst, &Msg{Kind: MOK})
 }
 
 // handleListPlanted reports every planted breakpoint as (addr, original
 // bytes) records: addr32, len32, bytes. Sorted by address — map
 // iteration order would make the reply differ run to run, and the reply
 // feeds reconnect resyncs that must be deterministic.
-func (n *Nub) handleListPlanted(m *Msg) *Msg {
+func (n *Nub) handleListPlanted(m Msg, dst []byte) []byte {
 	addrs := make([]uint32, 0, len(n.planted))
 	for addr := range n.planted {
 		addrs = append(addrs, addr)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var data []byte
+	start := len(dst)
+	dst = appendHeader(dst, &Msg{Kind: MPlanted}, 0)
 	for _, addr := range addrs {
 		old := n.planted[addr]
-		var rec [8]byte
-		amem.WriteInt(binary.LittleEndian, rec[0:4], uint64(addr))
-		amem.WriteInt(binary.LittleEndian, rec[4:8], uint64(len(old)))
-		data = append(data, rec[:]...)
-		data = append(data, old...)
+		dst = binary.LittleEndian.AppendUint32(dst, addr)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(old)))
+		dst = append(dst, old...)
 	}
-	return &Msg{Kind: MPlanted, Data: data}
+	return endPayload(dst, start)
 }
 
-func (n *Nub) handleFetchInt(m *Msg) *Msg {
+func (n *Nub) handleFetchInt(m Msg, dst []byte) []byte {
 	if m.Size > 4 {
-		return errMsg("fetch %#x: integer size %d exceeds the 4-byte wire word", m.Addr, m.Size)
+		return appendErr(dst, "fetch %#x: integer size %d exceeds the 4-byte wire word", m.Addr, m.Size)
 	}
 	v, f := n.P.Load(m.Addr, int(m.Size))
 	if f != nil {
-		return errMsg("fetch %#x: %v", m.Addr, f)
+		return appendErr(dst, "fetch %#x: %v", m.Addr, f)
 	}
-	return &Msg{Kind: MValue, Val: uint64(v)}
+	return appendMsg(dst, &Msg{Kind: MValue, Val: uint64(v)})
 }
 
 // handleStoreInt refuses sizes past the wire word: the machine's Store
 // takes a uint32, and silently narrowing an 8-byte value would store
 // the low half and claim success.
-func (n *Nub) handleStoreInt(m *Msg) *Msg {
+func (n *Nub) handleStoreInt(m Msg, dst []byte) []byte {
 	if m.Size > 4 {
-		return errMsg("store %#x: integer size %d exceeds the 4-byte wire word", m.Addr, m.Size)
+		return appendErr(dst, "store %#x: integer size %d exceeds the 4-byte wire word", m.Addr, m.Size)
 	}
 	if f := n.P.Store(m.Addr, int(m.Size), uint32(m.Val)); f != nil {
-		return errMsg("store %#x: %v", m.Addr, f)
+		return appendErr(dst, "store %#x: %v", m.Addr, f)
 	}
-	return &Msg{Kind: MOK}
+	return appendMsg(dst, &Msg{Kind: MOK})
 }
 
-func (n *Nub) handleFetchFloat(m *Msg) *Msg {
+func (n *Nub) handleFetchFloat(m Msg, dst []byte) []byte {
 	p := n.P
 	size := int(m.Size)
 	if lo, hi, ok := n.quirkRange(); ok && size == 8 && uint64(m.Addr) >= lo && uint64(m.Addr)+8 <= hi {
@@ -453,20 +467,20 @@ func (n *Nub) handleFetchFloat(m *Msg) *Msg {
 		// floating registers.
 		raw := make([]byte, 8)
 		if err := p.ReadBytes(m.Addr, raw); err != nil {
-			return errMsg("fetch %#x: %v", m.Addr, err)
+			return appendErr(dst, "fetch %#x: %v", m.Addr, err)
 		}
 		swapWords(raw)
 		v := amem.DecodeFloat(p.A.Order(), raw, amem.Float64)
-		return &Msg{Kind: MFValue, Val: float64bits(v)}
+		return appendMsg(dst, &Msg{Kind: MFValue, Val: float64bits(v)})
 	}
 	v, f := p.LoadFloat(m.Addr, size)
 	if f != nil {
-		return errMsg("fetch %#x: %v", m.Addr, f)
+		return appendErr(dst, "fetch %#x: %v", m.Addr, f)
 	}
-	return &Msg{Kind: MFValue, Val: float64bits(v)}
+	return appendMsg(dst, &Msg{Kind: MFValue, Val: float64bits(v)})
 }
 
-func (n *Nub) handleStoreFloat(m *Msg) *Msg {
+func (n *Nub) handleStoreFloat(m Msg, dst []byte) []byte {
 	p := n.P
 	size := int(m.Size)
 	v := float64frombits(m.Val)
@@ -475,59 +489,63 @@ func (n *Nub) handleStoreFloat(m *Msg) *Msg {
 		amem.EncodeFloat(p.A.Order(), raw, amem.Float64, v)
 		swapWords(raw)
 		if err := p.WriteBytes(m.Addr, raw); err != nil {
-			return errMsg("store %#x: %v", m.Addr, err)
+			return appendErr(dst, "store %#x: %v", m.Addr, err)
 		}
-		return &Msg{Kind: MOK}
+		return appendMsg(dst, &Msg{Kind: MOK})
 	}
 	if f := p.StoreFloat(m.Addr, size, v); f != nil {
-		return errMsg("store %#x: %v", m.Addr, f)
+		return appendErr(dst, "store %#x: %v", m.Addr, f)
 	}
-	return &Msg{Kind: MOK}
+	return appendMsg(dst, &Msg{Kind: MOK})
 }
 
-func (n *Nub) handleFetchBytes(m *Msg) *Msg {
+func (n *Nub) handleFetchBytes(m Msg, dst []byte) []byte {
 	if m.Size > maxDataLen {
-		return errMsg("fetch too large")
+		return appendErr(dst, "fetch too large")
 	}
-	out := make([]byte, m.Size)
-	if err := n.P.ReadBytes(m.Addr, out); err != nil {
-		return errMsg("fetch %#x: %v", m.Addr, err)
+	return n.appendFetched(dst, m.Addr, int(m.Size))
+}
+
+// appendFetched appends an MBytes reply carrying the size bytes at
+// addr, read straight into the frame, or the MError that explains why
+// they cannot be read.
+func (n *Nub) appendFetched(dst []byte, addr uint32, size int) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, &Msg{Kind: MBytes}, size)
+	dst = slices.Grow(dst, size)[:len(dst)+size]
+	if err := n.P.ReadBytes(addr, dst[len(dst)-size:]); err != nil {
+		return appendErr(dst[:start], "fetch %#x: %v", addr, err)
 	}
-	return &Msg{Kind: MBytes, Data: out}
+	return dst
 }
 
 // handleFetchLine services a readahead fetch: return however many of
 // the requested bytes exist in the containing segment rather than
 // failing at the segment's edge.
-func (n *Nub) handleFetchLine(m *Msg) *Msg {
-	p := n.P
+func (n *Nub) handleFetchLine(m Msg, dst []byte) []byte {
 	if m.Size > maxDataLen {
-		return errMsg("fetch too large")
+		return appendErr(dst, "fetch too large")
 	}
-	for _, s := range p.Segs {
+	for _, s := range n.P.Segs {
 		if m.Addr < s.Base || m.Addr >= s.Base+uint32(len(s.Data)) {
 			continue
 		}
 		size := min(uint64(m.Size), uint64(s.Base)+uint64(len(s.Data))-uint64(m.Addr))
-		out := make([]byte, size)
-		if err := p.ReadBytes(m.Addr, out); err != nil {
-			return errMsg("fetch %#x: %v", m.Addr, err)
-		}
-		return &Msg{Kind: MBytes, Data: out}
+		return n.appendFetched(dst, m.Addr, int(size))
 	}
-	return errMsg("fetch %#x: unmapped", m.Addr)
+	return appendErr(dst, "fetch %#x: unmapped", m.Addr)
 }
 
-func (n *Nub) handleStoreBytes(m *Msg) *Msg {
+func (n *Nub) handleStoreBytes(m Msg, dst []byte) []byte {
 	if err := n.P.WriteBytes(m.Addr, m.Data); err != nil {
-		return errMsg("store %#x: %v", m.Addr, err)
+		return appendErr(dst, "store %#x: %v", m.Addr, err)
 	}
-	return &Msg{Kind: MOK}
+	return appendMsg(dst, &Msg{Kind: MOK})
 }
 
 // handleMetrics serves the nub's own counters.
-func (n *Nub) handleMetrics(m *Msg) *Msg {
-	return &Msg{Kind: MMetricsReply, Data: encodeMetrics(n.appendMetricsLocked(nil))}
+func (n *Nub) handleMetrics(m Msg, dst []byte) []byte {
+	return appendMsg(dst, &Msg{Kind: MMetricsReply, Data: encodeMetrics(n.appendMetricsLocked(nil))})
 }
 
 // appendMetricsLocked appends the nub and sim groups. The caller holds
@@ -543,36 +561,36 @@ func (n *Nub) appendMetricsLocked(ms []Metric) []Metric {
 }
 
 // handleBatch services an MBatch envelope: each member is handled in
-// order and the member replies travel back in one MBatchReply. Control
-// messages — continue, kill, detach, nested batches — may not ride in
-// an envelope; such members get individual error replies so the other
-// members still complete.
-func (n *Nub) handleBatch(m *Msg) *Msg {
-	subs, err := DecodeBatch(m)
-	if err != nil {
-		return errMsg("%v", err)
+// order and its reply appended to one MBatchReply, so the member
+// replies travel back in one frame. Control messages — continue, kill,
+// detach, nested batches — may not ride in an envelope; such members
+// get individual error replies so the other members still complete.
+func (n *Nub) handleBatch(m Msg, dst []byte) []byte {
+	if err := checkBatch(&m); err != nil {
+		return appendErr(dst, "%v", err)
 	}
 	n.Stats.Batches.Add(1)
-	n.Stats.BatchedMsgs.Add(int64(len(subs)))
-	reps := make([]*Msg, len(subs))
-	for i, sub := range subs {
+	n.Stats.BatchedMsgs.Add(int64(m.Val))
+	start := len(dst)
+	dst = appendHeader(dst, &Msg{Kind: MBatchReply, Val: m.Val}, 0)
+	for rest := m.Data; len(rest) > 0; {
+		sub, k, _ := parseMsg(rest)
+		rest = rest[k:]
 		switch sub.Kind {
 		case MContinue, MStepInst, MKill, MDetach, MHello, MBatch, MBatchReply:
-			reps[i] = errMsg("%v may not ride in a batch", sub.Kind)
+			dst = appendErr(dst, "%v may not ride in a batch", sub.Kind)
 		default:
 			// Members go through the full validate-and-contain path: a
 			// panic on one member yields that member an error reply and
 			// lets the others complete.
-			reps[i] = n.safeHandle(sub)
+			dst = n.safeHandle(&sub, dst)
 		}
 	}
-	env, err := EncodeBatch(MBatchReply, reps)
-	if err != nil {
-		// Oversized reply payloads and the like: report instead of
-		// breaking the connection.
-		return errMsg("batch reply: %v", err)
+	if size := len(dst) - start - hdrLen; size > maxDataLen {
+		// Report instead of breaking the connection.
+		return appendErr(dst[:start], "batch reply: nub: batch payload too large (%d)", size)
 	}
-	return env
+	return endPayload(dst, start)
 }
 
 // Serve handles one debugger connection: it announces the target,
@@ -586,11 +604,12 @@ func (n *Nub) Serve(conn io.ReadWriter) error {
 	if n.dead {
 		return fmt.Errorf("nub: target terminated")
 	}
-	if err := n.greetLocked(conn, MWelcome, 0); err != nil {
+	f := &framer{rw: conn}
+	if err := n.greetLocked(f, MWelcome, 0); err != nil {
 		return err
 	}
 	for {
-		req, slow, err := readRequest(conn, n.ReadTimeout)
+		req, slow, err := readRequest(f, n.ReadTimeout)
 		if slow {
 			n.Stats.SlowReads.Add(1)
 		}
@@ -601,13 +620,23 @@ func (n *Nub) Serve(conn io.ReadWriter) error {
 				// draining it would read however many bytes the peer
 				// declared.
 				n.Stats.OversizeRejects.Add(1)
-				_ = WriteMsg(conn, &Msg{Kind: MError, Data: []byte(err.Error())})
+				_ = f.write(&Msg{Kind: MError, Data: []byte(err.Error())})
 				n.Stats.MsgsSent.Add(1)
 			}
 			return err // connection broken; state preserved
 		}
-		done, err := n.serveOneLocked(conn, req)
-		if done || err != nil {
+		var done bool
+		f.out, done = n.serveOneLocked(f.out[:0], &req)
+		err = f.flush()
+		if err == nil || done {
+			n.Stats.MsgsSent.Add(1)
+		}
+		if done {
+			// The target was killed or the debugger detached: the
+			// connection is finished, whether or not the reply got out.
+			return nil
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -617,8 +646,8 @@ func (n *Nub) Serve(conn io.ReadWriter) error {
 // nub, an MSession carrying the session id from the debug service —
 // then replays the pending stop event, running the target to its first
 // stop if nothing is latched yet. Callers hold n.mu.
-func (n *Nub) greetLocked(w io.Writer, kind MsgKind, id uint64) error {
-	if err := WriteMsg(w, &Msg{
+func (n *Nub) greetLocked(f *framer, kind MsgKind, id uint64) error {
+	if err := f.write(&Msg{
 		Kind: kind,
 		Val:  id,
 		Addr: n.ctxAddr,
@@ -631,30 +660,28 @@ func (n *Nub) greetLocked(w io.Writer, kind MsgKind, id uint64) error {
 	if n.pending == nil {
 		n.resumeAndLatch(n.runAndLatch)
 	}
-	if err := WriteMsg(w, n.pending); err != nil {
+	if err := f.write(n.pending); err != nil {
 		return err
 	}
 	n.Stats.MsgsSent.Add(1)
 	return nil
 }
 
-// serveOneLocked services one already-read request on conn: the
-// control kinds inline — they manipulate nub lifecycle state no handler
-// may touch — and everything else through the validate-and-contain
-// dispatch path. done reports that the connection is finished (the
-// target was killed or the debugger detached). Callers hold n.mu.
-func (n *Nub) serveOneLocked(conn io.ReadWriter, req *Msg) (done bool, err error) {
+// serveOneLocked services one already-read request, appending its reply
+// frame to dst: the control kinds inline — they manipulate nub
+// lifecycle state no handler may touch — and everything else through
+// the validate-and-contain dispatch path. done reports that the
+// connection is finished (the target was killed or the debugger
+// detached). The caller writes the reply. Callers hold n.mu.
+func (n *Nub) serveOneLocked(dst []byte, req *Msg) (reply []byte, done bool) {
 	n.Stats.MsgsReceived.Add(1)
 	n.Stats.RoundTrips.Add(1)
 	switch req.Kind {
 	case MContinue, MStepInst:
 		if n.P.State == machine.StateExited {
-			if err := WriteMsg(conn, &Msg{Kind: MExited, Code: int32(n.P.ExitCode)}); err != nil {
-				return false, err
-			}
-			n.Stats.MsgsSent.Add(1)
-			return false, nil
+			return appendMsg(dst, &Msg{Kind: MExited, Code: int32(n.P.ExitCode)}), false
 		}
+		step := req.Kind == MStepInst
 		n.resumeAndLatch(func() {
 			if rerr := n.restoreContext(); rerr != nil {
 				// The debugger scribbled the context away, or the
@@ -663,36 +690,25 @@ func (n *Nub) serveOneLocked(conn io.ReadWriter, req *Msg) (done bool, err error
 				n.latchCtxFault(n.P.PC())
 				return
 			}
-			if req.Kind == MStepInst {
+			if step {
 				n.stepAndLatch()
 			} else {
 				n.runAndLatch()
 			}
 		})
-		if err := WriteMsg(conn, n.pending); err != nil {
-			return false, err
-		}
-		n.Stats.MsgsSent.Add(1)
+		return appendMsg(dst, n.pending), false
 	case MKill:
 		n.dead = true
 		n.P.State = machine.StateExited
-		_ = WriteMsg(conn, &Msg{Kind: MOK})
-		n.Stats.MsgsSent.Add(1)
-		return true, nil
+		return appendMsg(dst, &Msg{Kind: MOK}), true
 	case MDetach:
-		_ = WriteMsg(conn, &Msg{Kind: MOK})
-		n.Stats.MsgsSent.Add(1)
-		return true, nil
+		return appendMsg(dst, &Msg{Kind: MOK}), true
 	default:
-		if err := WriteMsg(conn, n.safeHandle(req)); err != nil {
-			return false, err
-		}
-		n.Stats.MsgsSent.Add(1)
+		return n.safeHandle(req, dst), false
 	}
-	return false, nil
 }
 
-// readRequest reads one request from conn under the two-phase server
+// readRequest reads one request through f under the two-phase server
 // read deadline, for the nub and the debug service alike: the idle wait
 // for a frame's first byte is unbounded — a debugger may sit at its
 // prompt for hours — but once a frame has started, the rest must arrive
@@ -701,22 +717,21 @@ func (n *Nub) serveOneLocked(conn io.ReadWriter, req *Msg) (done bool, err error
 // dropped instead of pinning the server forever. slow reports such a
 // drop, for the caller to charge. Connections without deadline support
 // (in-memory pipes wrapped by fault injectors) are served without the
-// defence.
-func readRequest(conn io.Reader, timeout time.Duration) (m *Msg, slow bool, err error) {
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, false, err
+// defence. The request's Data points into f's read buffer.
+func readRequest(f *framer, timeout time.Duration) (m Msg, slow bool, err error) {
+	if err := f.readFirst(); err != nil {
+		return Msg{}, false, err
 	}
 	if timeout == 0 {
 		timeout = DefaultServeTimeout
 	}
-	d, ok := conn.(interface{ SetReadDeadline(time.Time) error })
+	d, ok := f.rw.(interface{ SetReadDeadline(time.Time) error })
 	armed := ok && timeout > 0 && d.SetReadDeadline(time.Now().Add(timeout)) == nil
-	m, err = readMsgRest(first[0], conn)
+	m, err = f.readRest()
 	if armed {
 		_ = d.SetReadDeadline(time.Time{})
 		if err != nil && isTimeout(err) {
-			return nil, true, fmt.Errorf("nub: dropped slow read after %v: %w", timeout, err)
+			return Msg{}, true, fmt.Errorf("nub: dropped slow read after %v: %w", timeout, err)
 		}
 	}
 	return m, false, err

@@ -17,11 +17,11 @@
 package nub
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MsgKind identifies a protocol message.
@@ -197,6 +197,9 @@ const maxDataLen = 1 << 20
 // number of bytes.
 var errOversize = errors.New("nub: message payload too large")
 
+// errReserved marks a frame whose reserved header byte is not zero.
+var errReserved = errors.New("nub: reserved header byte set")
+
 // CodeRolledBack is the MError code the debug service attaches when a
 // request crashed mid-flight and the session was rolled back to its
 // last checkpoint. The rollback restores exactly the state before the
@@ -207,80 +210,175 @@ const CodeRolledBack int32 = 1
 // MaxBatch bounds how many messages one MBatch envelope may carry.
 const MaxBatch = 512
 
-// WriteMsg encodes m to w in the little-endian wire format.
+// hdrLen is a frame's fixed part: the 27-byte header (kind, space,
+// size, address, value, code, signal and a reserved byte) and the
+// 4-byte payload length.
+const hdrLen = 27 + 4
+
+// appendMsg appends m's frame to dst in the little-endian wire format.
+func appendMsg(dst []byte, m *Msg) []byte {
+	return append(appendHeader(dst, m, len(m.Data)), m.Data...)
+}
+
+// appendHeader appends m's frame up to its payload, declaring a payload
+// of n bytes: a caller that builds the payload in place appends it
+// next (or declares 0 and patches the length with endPayload).
+func appendHeader(dst []byte, m *Msg, n int) []byte {
+	dst = append(dst, byte(m.Kind), m.Space)
+	dst = binary.LittleEndian.AppendUint32(dst, m.Size)
+	dst = binary.LittleEndian.AppendUint32(dst, m.Addr)
+	dst = binary.LittleEndian.AppendUint64(dst, m.Val)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Code))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Sig))
+	dst = append(dst, 0) // reserved
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// endPayload patches the payload length of the frame that starts at
+// dst[start] to cover everything appended after its header.
+func endPayload(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start+27:], uint32(len(dst)-start-hdrLen))
+	return dst
+}
+
+// parseMsg decodes the frame at the start of b and returns it with the
+// frame's length. The message's Data points into b; nothing is copied
+// or allocated. A frame whose reserved byte is set is malformed, so
+// appendMsg re-encodes every frame parseMsg accepts to the same bytes.
+func parseMsg(b []byte) (Msg, int, error) {
+	if len(b) < hdrLen {
+		return Msg{}, 0, io.ErrUnexpectedEOF
+	}
+	if b[26] != 0 {
+		return Msg{}, 0, errReserved
+	}
+	n := binary.LittleEndian.Uint32(b[27:])
+	if n > maxDataLen {
+		return Msg{}, 0, fmt.Errorf("%w (%d)", errOversize, n)
+	}
+	if uint64(n) > uint64(len(b)-hdrLen) {
+		return Msg{}, 0, io.ErrUnexpectedEOF
+	}
+	m := Msg{
+		Kind:  MsgKind(b[0]),
+		Space: b[1],
+		Size:  binary.LittleEndian.Uint32(b[2:]),
+		Addr:  binary.LittleEndian.Uint32(b[6:]),
+		Val:   binary.LittleEndian.Uint64(b[10:]),
+		Code:  int32(binary.LittleEndian.Uint32(b[18:])),
+		Sig:   int32(binary.LittleEndian.Uint32(b[22:])),
+	}
+	end := hdrLen + int(n)
+	if n > 0 {
+		m.Data = b[hdrLen:end:end]
+	}
+	return m, end, nil
+}
+
+// readFrame reads one frame from r into buf's storage, of which the
+// first len(buf) bytes — none, or the first byte — have been read
+// already, and returns the whole frame. The payload length is checked
+// against maxDataLen before buf grows to hold it.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	have := len(buf)
+	buf = slices.Grow(buf, hdrLen-have)[:hdrLen]
+	if _, err := io.ReadFull(r, buf[have:]); err != nil {
+		return buf[:0], err
+	}
+	n := binary.LittleEndian.Uint32(buf[27:])
+	if n > maxDataLen {
+		return buf[:0], fmt.Errorf("%w (%d)", errOversize, n)
+	}
+	buf = slices.Grow(buf, int(n))[:hdrLen+int(n)]
+	if _, err := io.ReadFull(r, buf[hdrLen:]); err != nil {
+		return buf[:0], err
+	}
+	return buf, nil
+}
+
+// WriteMsg writes m to w as one frame in one Write. It is for peers
+// that send the odd frame; a connection's own ends keep a framer.
 func WriteMsg(w io.Writer, m *Msg) error {
 	if len(m.Data) > maxDataLen {
 		return fmt.Errorf("nub: message payload too large (%d)", len(m.Data))
 	}
-	var hdr [27]byte
-	hdr[0] = byte(m.Kind)
-	hdr[1] = m.Space
-	binary.LittleEndian.PutUint32(hdr[2:], m.Size)
-	binary.LittleEndian.PutUint32(hdr[6:], m.Addr)
-	binary.LittleEndian.PutUint64(hdr[10:], m.Val)
-	binary.LittleEndian.PutUint32(hdr[18:], uint32(m.Code))
-	binary.LittleEndian.PutUint32(hdr[22:], uint32(m.Sig))
-	hdr[26] = 0 // reserved
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(m.Data)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	if len(m.Data) > 0 {
-		if _, err := w.Write(m.Data); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(appendMsg(nil, m))
+	return err
 }
 
-// ReadMsg decodes one message from r.
+// ReadMsg reads one message from r into storage of its own.
 func ReadMsg(r io.Reader) (*Msg, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
+	b, err := readFrame(r, nil)
+	if err != nil {
 		return nil, err
 	}
-	return readMsgRest(first[0], r)
+	m, _, err := parseMsg(b)
+	return &m, err
 }
 
-// readMsgRest decodes the remainder of a message whose first header
-// byte has already been read. The split exists for the server's
-// slowloris defence: the idle wait for a request's first byte is
-// unbounded (a debugger may sit at its prompt forever), but once a
-// frame has started the rest must arrive under a deadline.
-func readMsgRest(first byte, r io.Reader) (*Msg, error) {
-	var hdr [27]byte
-	hdr[0] = first
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return nil, err
+// A framer is one end of a connection: the debugger's (Client) or the
+// nub's (Nub.Serve, Service.Serve). It encodes each frame it writes
+// into one buffer and writes it in one Write, and reads each frame into
+// another, both kept for the life of the connection, so once they have
+// grown to the connection's largest frame no message costs an
+// allocation. The aliasing rule: the Data of a message read points into
+// the read buffer and is valid only until the next read on the same
+// framer; code that keeps it longer copies it.
+type framer struct {
+	rw  io.ReadWriter
+	out []byte // the frame being written
+	in  []byte // the frame last read
+}
+
+// write encodes m and writes it. A payload past the cap the peer
+// enforces is refused before it is copied into the buffer.
+func (f *framer) write(m *Msg) error {
+	if len(m.Data) > maxDataLen {
+		return fmt.Errorf("nub: message payload too large (%d)", len(m.Data))
 	}
-	m := &Msg{
-		Kind:  MsgKind(hdr[0]),
-		Space: hdr[1],
-		Size:  binary.LittleEndian.Uint32(hdr[2:]),
-		Addr:  binary.LittleEndian.Uint32(hdr[6:]),
-		Val:   binary.LittleEndian.Uint64(hdr[10:]),
-		Code:  int32(binary.LittleEndian.Uint32(hdr[18:])),
-		Sig:   int32(binary.LittleEndian.Uint32(hdr[22:])),
+	f.out = appendMsg(f.out[:0], m)
+	return f.flush()
+}
+
+// flush writes the one frame built in out: by write, or in place by
+// the nub's handlers.
+func (f *framer) flush() error {
+	if n := len(f.out) - hdrLen; n > maxDataLen {
+		return fmt.Errorf("nub: message payload too large (%d)", n)
 	}
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, err
+	_, err := f.rw.Write(f.out)
+	return err
+}
+
+// read reads one frame, however long its first byte takes to arrive.
+func (f *framer) read() (Msg, error) {
+	return f.finish(readFrame(f.rw, f.in[:0]))
+}
+
+// readFirst waits, unbounded, for the first byte of the next frame;
+// readRest then reads the rest. The split exists for the server's
+// slowloris defence: a debugger may sit at its prompt forever, but
+// once a frame has started the rest must arrive under a deadline.
+func (f *framer) readFirst() error {
+	f.in = slices.Grow(f.in[:0], hdrLen)[:1]
+	_, err := io.ReadFull(f.rw, f.in)
+	return err
+}
+
+// readRest reads the rest of the frame readFirst started.
+func (f *framer) readRest() (Msg, error) {
+	return f.finish(readFrame(f.rw, f.in[:1]))
+}
+
+// finish keeps the frame readFrame returned as the read buffer, and
+// decodes it.
+func (f *framer) finish(b []byte, err error) (Msg, error) {
+	f.in = b
+	if err != nil {
+		return Msg{}, err
 	}
-	dlen := binary.LittleEndian.Uint32(n[:])
-	if dlen > maxDataLen {
-		return nil, fmt.Errorf("%w (%d)", errOversize, dlen)
-	}
-	if dlen > 0 {
-		m.Data = make([]byte, dlen)
-		if _, err := io.ReadFull(r, m.Data); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	m, _, err := parseMsg(b)
+	return m, err
 }
 
 // reqIdempotent reports whether re-executing the request on the nub
@@ -291,7 +389,8 @@ func readMsgRest(first byte, r io.Reader) (*Msg, error) {
 // idempotent exactly when DecodeBatch would accept it and every member
 // is. The client asks this of every envelope it writes, so the members
 // are not decoded: their headers are walked in place, reading only the
-// kind (byte 0) and the payload length (bytes 27–30).
+// kind (byte 0), the reserved byte (26) and the payload length (bytes
+// 27–30).
 func reqIdempotent(m *Msg) bool {
 	if m.Kind != MBatch {
 		return kindIdempotent(m.Kind)
@@ -299,7 +398,6 @@ func reqIdempotent(m *Msg) bool {
 	if m.Val == 0 || m.Val > MaxBatch {
 		return false
 	}
-	const hdrLen = 27 + 4 // WriteMsg's header and payload length
 	data := m.Data
 	for range m.Val {
 		if len(data) < hdrLen {
@@ -308,7 +406,7 @@ func reqIdempotent(m *Msg) bool {
 		// A nested envelope fails here too: neither envelope kind is an
 		// idempotent request.
 		n := binary.LittleEndian.Uint32(data[27:])
-		if !kindIdempotent(MsgKind(data[0])) || n > maxDataLen || uint64(n) > uint64(len(data)-hdrLen) {
+		if !kindIdempotent(MsgKind(data[0])) || data[26] != 0 || n > maxDataLen || uint64(n) > uint64(len(data)-hdrLen) {
 			return false
 		}
 		data = data[hdrLen+int(n):]
@@ -322,55 +420,70 @@ func kindIdempotent(k MsgKind) bool {
 	return ok && info.request && info.idempotent
 }
 
-// EncodeBatch wraps msgs in an MBatch (or, from the nub, MBatchReply)
-// envelope: Val carries the count, Data the concatenated wire encodings
-// of the members. Envelopes do not nest.
-func EncodeBatch(kind MsgKind, msgs []*Msg) (*Msg, error) {
+// EncodeBatch builds a kind envelope — MBatch, or from the nub
+// MBatchReply — carrying msgs: Val is the count, and Data is dst with
+// the members' frames appended. Envelopes do not nest.
+func EncodeBatch(dst []byte, kind MsgKind, msgs []Msg) (Msg, error) {
 	if kind != MBatch && kind != MBatchReply {
-		return nil, fmt.Errorf("nub: %v is not a batch envelope kind", kind)
+		return Msg{}, fmt.Errorf("nub: %v is not a batch envelope kind", kind)
 	}
 	if len(msgs) == 0 || len(msgs) > MaxBatch {
-		return nil, fmt.Errorf("nub: batch of %d messages (limit %d)", len(msgs), MaxBatch)
+		return Msg{}, fmt.Errorf("nub: batch of %d messages (limit %d)", len(msgs), MaxBatch)
 	}
-	var buf bytes.Buffer
-	for _, m := range msgs {
+	start := len(dst)
+	for i := range msgs {
+		m := &msgs[i]
 		if m.Kind == MBatch || m.Kind == MBatchReply {
-			return nil, fmt.Errorf("nub: batches do not nest")
+			return Msg{}, fmt.Errorf("nub: batches do not nest")
 		}
-		if err := WriteMsg(&buf, m); err != nil {
-			return nil, err
+		if len(m.Data) > maxDataLen {
+			return Msg{}, fmt.Errorf("nub: message payload too large (%d)", len(m.Data))
 		}
+		dst = appendMsg(dst, m)
 	}
-	if buf.Len() > maxDataLen {
-		return nil, fmt.Errorf("nub: batch payload too large (%d)", buf.Len())
+	if len(dst)-start > maxDataLen {
+		return Msg{}, fmt.Errorf("nub: batch payload too large (%d)", len(dst)-start)
 	}
-	return &Msg{Kind: kind, Val: uint64(len(msgs)), Data: buf.Bytes()}, nil
+	return Msg{Kind: kind, Val: uint64(len(msgs)), Data: dst[start:]}, nil
 }
 
-// DecodeBatch unpacks an MBatch or MBatchReply envelope. Malformed
-// envelopes — wrong counts, truncated members, trailing garbage, nested
-// batches — yield errors, never panics.
-func DecodeBatch(env *Msg) ([]*Msg, error) {
+// checkBatch validates an MBatch or MBatchReply envelope: wrong counts,
+// truncated members, trailing garbage and nested batches are errors,
+// never panics.
+func checkBatch(env *Msg) error {
 	if env.Kind != MBatch && env.Kind != MBatchReply {
-		return nil, fmt.Errorf("nub: %v is not a batch envelope", env.Kind)
+		return fmt.Errorf("nub: %v is not a batch envelope", env.Kind)
 	}
 	if env.Val == 0 || env.Val > MaxBatch {
-		return nil, fmt.Errorf("nub: batch claims %d messages (limit %d)", env.Val, MaxBatch)
+		return fmt.Errorf("nub: batch claims %d messages (limit %d)", env.Val, MaxBatch)
 	}
-	r := bytes.NewReader(env.Data)
-	msgs := make([]*Msg, 0, env.Val)
-	for i := uint64(0); i < env.Val; i++ {
-		m, err := ReadMsg(r)
+	rest := env.Data
+	for i := range env.Val {
+		m, n, err := parseMsg(rest)
 		if err != nil {
-			return nil, fmt.Errorf("nub: batch member %d: truncated or malformed: %w", i, err)
+			return fmt.Errorf("nub: batch member %d: truncated or malformed: %w", i, err)
 		}
 		if m.Kind == MBatch || m.Kind == MBatchReply {
-			return nil, fmt.Errorf("nub: batch member %d: batches do not nest", i)
+			return fmt.Errorf("nub: batch member %d: batches do not nest", i)
 		}
-		msgs = append(msgs, m)
+		rest = rest[n:]
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("nub: %d trailing bytes after batch members", r.Len())
+	if len(rest) != 0 {
+		return fmt.Errorf("nub: %d trailing bytes after batch members", len(rest))
 	}
-	return msgs, nil
+	return nil
+}
+
+// DecodeBatch unpacks an envelope checkBatch accepts, appending its
+// members to dst. Their Data point into env.Data.
+func DecodeBatch(dst []Msg, env *Msg) ([]Msg, error) {
+	if err := checkBatch(env); err != nil {
+		return dst, err
+	}
+	for rest := env.Data; len(rest) > 0; {
+		m, n, _ := parseMsg(rest)
+		dst = append(dst, m)
+		rest = rest[n:]
+	}
+	return dst, nil
 }

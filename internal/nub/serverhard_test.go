@@ -140,7 +140,7 @@ func TestBatchMemberPanicContained(t *testing.T) {
 	n, cli, stop := rawServe(t, -1)
 	defer stop()
 	n.P.Segs = append(n.P.Segs, nil)
-	env, err := EncodeBatch(MBatch, []*Msg{
+	env, err := EncodeBatch(nil, MBatch, []Msg{
 		{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase, Size: 4},
 		{Kind: MFetchLine, Space: byte(amem.Data), Addr: 0x10, Size: 16}, // panics
 		{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase + 4, Size: 4},
@@ -148,11 +148,11 @@ func TestBatchMemberPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := roundtripRaw(t, cli, env)
+	rep := roundtripRaw(t, cli, &env)
 	if rep.Kind != MBatchReply {
 		t.Fatalf("reply = %v %q", rep.Kind, rep.Data)
 	}
-	reps, err := DecodeBatch(rep)
+	reps, err := DecodeBatch(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@
 package nub
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -121,8 +120,9 @@ type Service struct {
 	PassivateDir string
 	// FaultHook, when set, runs before dispatching a bound session's
 	// request; returning true simulates a crash mid-request — the hook
-	// may corrupt target state through n — and forces a rollback. Chaos
-	// tests inject failures here; production leaves it nil.
+	// may corrupt target state through n — and forces a rollback. The
+	// request's Data is valid only during the call. Chaos tests inject
+	// failures here; production leaves it nil.
 	FaultHook func(id uint64, n *Nub, req *Msg) bool
 
 	share *machine.TextCache
@@ -249,21 +249,24 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 	}
 	defer func() { unbind() }()
 
+	// The connection's one codec: every reply is built in f's write
+	// buffer and every request read into its read buffer.
+	f := &framer{rw: conn}
 	// The lobby welcome: no target, no event. The client proceeds to
 	// MOpenSession or MAttachSession.
-	if err := WriteMsg(conn, &Msg{Kind: MWelcome}); err != nil {
+	if err := f.write(&Msg{Kind: MWelcome}); err != nil {
 		return err
 	}
 
 	for {
-		req, slow, rerr := readRequest(conn, s.ReadTimeout)
+		req, slow, rerr := readRequest(f, s.ReadTimeout)
 		if slow {
 			s.slowReads.Add(1)
 		}
 		if rerr != nil {
 			if errors.Is(rerr, errOversize) {
 				s.oversize.Add(1)
-				_ = WriteMsg(conn, &Msg{Kind: MError, Data: []byte(rerr.Error())})
+				_ = f.write(&Msg{Kind: MError, Data: []byte(rerr.Error())})
 			}
 			return rerr // connection broken; session state preserved
 		}
@@ -272,15 +275,19 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 			unbind()
 			ns, rep := s.openSession(string(req.Data))
 			if rep != nil {
-				if err := WriteMsg(conn, rep); err != nil {
+				if err := f.write(rep); err != nil {
 					return err
 				}
 				continue
 			}
-			sess = ns
-			if err := s.announce(conn, sess); err != nil {
+			if err := s.announce(f, ns); err != nil {
+				// Nobody learned the new session's id: it must not stay
+				// in the pool.
+				s.kill(ns)
+				s.remove(ns)
 				return err
 			}
+			sess = ns
 		case MAttachSession:
 			unbind()
 			var ns *session
@@ -291,13 +298,13 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 				ns, rep = s.attachSession(req.Val)
 			}
 			if rep != nil {
-				if err := WriteMsg(conn, rep); err != nil {
+				if err := f.write(rep); err != nil {
 					return err
 				}
 				continue
 			}
 			sess = ns
-			if err := s.announce(conn, sess); err != nil {
+			if err := s.announce(f, sess); err != nil {
 				return err
 			}
 		case MCloseSession:
@@ -316,49 +323,47 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 			} else {
 				s.dropPassivated(req.Val)
 			}
-			if err := WriteMsg(conn, &Msg{Kind: MOK}); err != nil {
+			if err := f.write(&Msg{Kind: MOK}); err != nil {
 				return err
 			}
 		case MMetrics:
-			if err := WriteMsg(conn, s.metricsReply(sess)); err != nil {
+			if err := f.write(s.metricsReply(sess)); err != nil {
 				return err
 			}
 		default:
 			if sess == nil {
-				if err := WriteMsg(conn, errMsg("no session bound")); err != nil {
+				if err := f.write(errMsg("no session bound")); err != nil {
 					return err
 				}
 				continue
 			}
 			n := sess.nub
-			if h := s.FaultHook; h != nil && sess.ck != nil && h(sess.id, n, req) {
+			if h := s.FaultHook; h != nil && sess.ck != nil && h(sess.id, n, hookCopy(&req)) {
 				// Injected crash: the hook may have corrupted target
 				// state through n, exactly as a mid-request panic would.
 				n.Stats.RecoveredPanics.Add(1)
 				s.rollback(sess)
-				if err := WriteMsg(conn, rolledBack(req.Kind)); err != nil {
+				if err := f.write(rolledBack(req.Kind)); err != nil {
 					return err
 				}
 				continue
 			}
 			sess.resumeCovered = false
-			// Replies go through a buffer so a dispatch that panicked —
-			// visible as a RecoveredPanics bump — can be answered with a
-			// rollback error instead of its contained-panic reply: the
-			// panic left the target in an unknown state, and nothing of
-			// it may reach the wire.
-			var buf bytes.Buffer
+			// The reply is built in the write buffer before any of it
+			// is written, so a dispatch that panicked — visible as a
+			// RecoveredPanics bump — can be answered with a rollback
+			// error instead of its contained-panic reply: the panic left
+			// the target in an unknown state, and nothing of it may
+			// reach the wire.
+			var done bool
 			n.mu.Lock()
 			panics0 := n.Stats.RecoveredPanics.Load()
-			done, derr := n.serveOneLocked(&buf, req)
+			f.out, done = n.serveOneLocked(f.out[:0], &req)
 			rolled := sess.ck != nil && !done && n.Stats.RecoveredPanics.Load() != panics0
 			n.mu.Unlock()
-			if derr != nil {
-				return derr
-			}
 			if rolled {
 				s.rollback(sess)
-				if err := WriteMsg(conn, rolledBack(req.Kind)); err != nil {
+				if err := f.write(rolledBack(req.Kind)); err != nil {
 					return err
 				}
 				continue
@@ -373,24 +378,24 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 				s.dropPassivated(sess.id)
 				sess = nil
 			}
-			if _, err := conn.Write(buf.Bytes()); err != nil {
+			if err := f.flush(); err != nil {
 				return err
 			}
 			if done {
 				return nil
 			}
-			s.logRequest(sess, req)
+			s.logRequest(sess, &req)
 		}
 	}
 }
 
 // announce sends the MSession reply and the session's pending stop
 // event — the session flavor of the single-target welcome handshake.
-func (s *Service) announce(conn net.Conn, sess *session) error {
+func (s *Service) announce(f *framer, sess *session) error {
 	n := sess.nub
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.greetLocked(conn, MSession, sess.id)
+	return n.greetLocked(f, MSession, sess.id)
 }
 
 // openSession spawns the named program into a new session and returns
@@ -833,6 +838,23 @@ func (s *Service) logRequest(sess *session, req *Msg) {
 // stores replay into the same failure, so logging unconditionally is
 // still deterministic. Batch envelopes log their members.
 func appendEvents(log []machine.Event, req *Msg) []machine.Event {
+	if req.Kind != MBatch {
+		return appendEvent(log, req)
+	}
+	if checkBatch(req) != nil {
+		return log
+	}
+	for rest := req.Data; len(rest) > 0; {
+		sub, n, _ := parseMsg(rest)
+		log = appendEvent(log, &sub)
+		rest = rest[n:]
+	}
+	return log
+}
+
+// appendEvent mirrors one request that is not an envelope. The event
+// keeps its own copy of the request's payload.
+func appendEvent(log []machine.Event, req *Msg) []machine.Event {
 	switch req.Kind {
 	case MStoreInt:
 		return append(log, machine.Event{Kind: machine.EvStoreInt, Space: req.Space, Addr: req.Addr, Size: req.Size, Val: req.Val})
@@ -848,15 +870,6 @@ func appendEvents(log []machine.Event, req *Msg) []machine.Event {
 		return append(log, machine.Event{Kind: machine.EvContinue})
 	case MStepInst:
 		return append(log, machine.Event{Kind: machine.EvStep})
-	case MBatch:
-		subs, err := DecodeBatch(req)
-		if err != nil {
-			return log
-		}
-		for _, sub := range subs {
-			log = appendEvents(log, sub)
-		}
-		return log
 	default:
 		// Fetches, stats, liveness probes: nothing to replay.
 		return log
@@ -871,6 +884,13 @@ func cloneMsg(m *Msg) *Msg {
 	}
 	c := *m
 	c.Data = append([]byte(nil), m.Data...)
+	return &c
+}
+
+// hookCopy hands a fault hook its own copy of a request, which may
+// escape: the request itself stays off the heap.
+func hookCopy(req *Msg) *Msg {
+	c := *req
 	return &c
 }
 

@@ -687,3 +687,48 @@ func TestServiceShutdownIdempotent(t *testing.T) {
 	s.Shutdown()
 	s.Shutdown()
 }
+
+// goneAfterRequest is the service's end of a connection whose client
+// gives up as soon as it has sent a request: the lobby welcome gets
+// out, and every write after the service's first read fails.
+type goneAfterRequest struct {
+	net.Conn
+	read bool
+}
+
+func (c *goneAfterRequest) Read(p []byte) (int, error) {
+	c.read = true
+	return c.Conn.Read(p)
+}
+
+func (c *goneAfterRequest) Write(p []byte) (int, error) {
+	if c.read {
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestServiceAbandonedOpenLeavesPool: an open whose announcement cannot
+// be written leaves no session behind — nobody learned its id, so
+// nothing could ever attach to it or close it.
+func TestServiceAbandonedOpenLeavesPool(t *testing.T) {
+	s := NewService()
+	a := allArches[0]
+	s.Register(a.Name(), a, testProgram(t, a), make([]byte, 64), machine.TextBase)
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(&goneAfterRequest{Conn: srv}) }()
+	if w, err := ReadMsg(cli); err != nil || w.Kind != MWelcome {
+		t.Fatalf("lobby welcome: %v %v", w, err)
+	}
+	if err := WriteMsg(cli, &Msg{Kind: MOpenSession, Data: []byte(a.Name())}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err == nil {
+		t.Fatal("Serve returned no error for an announcement it could not write")
+	}
+	if n := s.Sessions(); n != 0 {
+		t.Fatalf("%d sessions live after an abandoned open, want 0", n)
+	}
+}
